@@ -293,20 +293,63 @@ def _bisect_many(
     returns ``(K, Q)``.  Every operation is an elementwise ufunc or a
     last-axis reduction, so a ``K == 1`` call and a batched call produce
     bit-identical rows — the batched slot kernel relies on this.
+
+    The loop works in preallocated buffers (``out=`` ufuncs and
+    ``copyto(where=)``) laid out class-major, ``(C, K, Q)``, so each
+    elementwise step broadcasts a per-class scalar along a contiguous
+    row.  The CDF is the class sum: one ``add`` for two classes (a
+    single rounding, whatever order), and for three or more a
+    last-axis sum over a ``(K, Q, C)`` copy, the reference's own
+    reduction.  Classes with zero weight in every row add exact zeros;
+    they are dropped when at most two weighted classes remain, because
+    a sum of two terms plus zeros has that one rounding too.  (The
+    bracket ``hi`` was already computed from every class.)  The CDF
+    term of a class the midpoint has not reached is
+    ``1 - exp(-r * 0) = 0`` exactly, so no mask is needed to zero it.
     """
-    lo_b = np.zeros((len(hi), len(qs)))
-    hi_b = np.broadcast_to(hi[:, None], lo_b.shape).copy()
+    weighted = (w2 != 0.0).any(axis=0)
+    kept = int(np.count_nonzero(weighted))
+    if 0 < kept <= 2 and kept < len(weighted):
+        w2, d2, r2 = w2[:, weighted], d2[:, weighted], r2[:, weighted]
+    classes = w2.shape[1]
+    shape = (len(hi), len(qs))
+    lo_b = np.zeros(shape)
+    hi_b = np.empty(shape)
+    hi_b[:] = hi[:, None]
+    mid = np.empty(shape)
+    cdf = np.empty(shape)
+    below = np.empty(shape, dtype=bool)
+    mass = np.empty((classes,) + shape)
+    by_row = np.empty(shape + (classes,)) if classes > 2 else None
+    d3 = d2.T[:, :, None]
+    neg_r3 = np.negative(r2).T[:, :, None]
+    w3 = w2.T[:, :, None]
     for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo_b + hi_b)
-        gap = mid[:, :, None] - d2[:, None, :]
-        mass = np.where(
-            gap > 0, 1.0 - np.exp(-r2[:, None, :] * np.maximum(gap, 0.0)), 0.0
-        )
-        cdf = (mass * w2[:, None, :]).sum(-1)
-        below = cdf < qs
-        lo_b = np.where(below, mid, lo_b)
-        hi_b = np.where(below, hi_b, mid)
-    return 0.5 * (lo_b + hi_b)
+        np.add(lo_b, hi_b, out=mid)
+        mid *= 0.5
+        np.subtract(mid, d3, out=mass)
+        np.maximum(mass, 0.0, out=mass)
+        mass *= neg_r3
+        np.exp(mass, out=mass)
+        np.subtract(1.0, mass, out=mass)
+        mass *= w3
+        if classes == 1:
+            np.less(mass[0], qs, out=below)
+        else:
+            if by_row is None:
+                np.add(mass[0], mass[1], out=cdf)
+            else:
+                np.copyto(by_row, np.moveaxis(mass, 0, -1))
+                np.sum(by_row, axis=-1, out=cdf)
+            np.less(cdf, qs, out=below)
+        # lo <- mid where below; hi <- mid elsewhere, built in ``mid``
+        # (it becomes the new hi buffer).
+        np.copyto(lo_b, mid, where=below)
+        np.copyto(mid, hi_b, where=below)
+        hi_b, mid = mid, hi_b
+    np.add(lo_b, hi_b, out=mid)
+    mid *= 0.5
+    return mid
 
 
 def mixture_quantiles(
@@ -317,22 +360,28 @@ def mixture_quantiles(
     The CDF is ``F(x) = sum_i w_i * (1 - exp(-r_i * (x - d_i)))`` for
     ``x > d_i``.  Monotone, so bisection converges deterministically.
     """
-    w = components.weights
-    d = components.delays
-    r = components.tail_rates
-    if len(w) == 0:
+    if len(components.weights) == 0:
         return np.zeros(len(quantiles))
     for q in quantiles:
         if not 0 < q < 1:
             raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
+    return _solve_quantiles(components, quantiles, max(quantiles))
 
-    w, d, r = merge_components(w, d, r)
+
+def _solve_quantiles(
+    components: LatencyComponents, quantiles: Sequence[float], q_max: float
+) -> np.ndarray:
+    """:func:`mixture_quantiles` for validated ``quantiles`` whose largest
+    is ``q_max``."""
+    w, d, r = merge_components(
+        components.weights, components.delays, components.tail_rates
+    )
 
     if len(w) == 1:
         # Single shifted exponential: closed-form quantile.
         return np.array([d[0] - math.log(1.0 - q) / r[0] for q in quantiles])
 
-    hi = _upper_bracket(d, r, max(quantiles))
+    hi = _upper_bracket(d, r, q_max)
 
     if len(w) * len(quantiles) <= _SCALAR_BISECTION_THRESHOLD:
         return _scalar_bisect(w.tolist(), d.tolist(), r.tolist(), quantiles, hi)
@@ -403,12 +452,17 @@ def sample_latencies(
     drawing ``u ~ U(0, 1)`` from a seeded generator and inverting the
     step's mixture CDF — deterministic given the seed, and distributed
     exactly as the step's latency model.  Uniforms are clipped away from
-    the endpoints so the bisection bracket stays finite.
+    the endpoints so the bisection bracket stays finite; one array check
+    then rejects what clipping cannot fix (NaN).
     """
     u = np.clip(np.asarray(uniforms, dtype=np.float64), 1e-9, 1.0 - 1e-9)
     if u.size == 0:
         return np.empty(0)
-    return mixture_quantiles(components, u)
+    if len(components.weights) == 0:
+        return np.zeros(len(u))
+    if np.isnan(u).any():
+        raise ConfigurationError("latency uniforms must not be NaN")
+    return _solve_quantiles(components, u, float(u.max()))
 
 
 def mixture_mean(components: LatencyComponents) -> float:

@@ -16,6 +16,11 @@ Policy (per request):
    service) plus the requests already admitted this tick;
 3. if that exceeds ``queue_limit_seconds`` the request is shed.
 
+:meth:`AdmissionController.admit_batch` applies the same policy to a run
+of requests at once: the estimate grows with every admit, so each node
+admits a prefix of the run's requests to it, found with one cumulative
+count per node.
+
 ``queue_limit_seconds`` should sit below the engine's own
 ``max_queue_seconds`` cap — then shedding, not the cap, is what bounds
 the queues, which is the behaviour the spike tests pin down.
@@ -25,7 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.telemetry import Telemetry
@@ -129,6 +136,60 @@ class AdmissionController:
             False, node_id, est_queue_seconds, retry_after, reason="queue-limit"
         )
 
+    def admit_batch(
+        self,
+        node_ids: np.ndarray,
+        queue_s: np.ndarray,
+        pending: np.ndarray,
+        rates: np.ndarray,
+        *,
+        limit_s: Optional[float] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Admit or shed a run of requests in arrival order.
+
+        Equivalent to :meth:`decide` once per request, where request
+        ``i`` bound for node ``n`` is estimated at ``queue_s[n] + c /
+        rates[n]`` and ``c`` counts the requests admitted to ``n`` before
+        it: ``pending[n]`` earlier in the tick plus those earlier in the
+        run.  That estimate never falls as ``c`` grows, so node ``n``
+        admits the first ``A`` requests of the run routed to it and sheds
+        the rest, all of which see ``c = pending[n] + A``.  Records no
+        telemetry (the caller batches it).
+
+        Returns:
+            ``(accepted, estimates, retry_after_s)`` per request, the
+            hint 0 where accepted.
+        """
+        limit = self.config.queue_limit_seconds if limit_s is None else limit_s
+        rank = prior_in_group(node_ids)
+        base = pending[node_ids]
+        queue = queue_s[node_ids]
+        rate = rates[node_ids]
+        estimates = queue + (base + rank) / rate
+        accepted = estimates <= limit
+        admitted = int(np.count_nonzero(accepted))
+        retry = np.zeros(len(node_ids))
+        if admitted < len(node_ids):
+            per_node = np.bincount(node_ids[accepted], minlength=len(pending))
+            estimates = queue + (base + np.minimum(rank, per_node[node_ids])) / rate
+            shed = ~accepted
+            retry[shed] = np.maximum(
+                self.config.retry_after_floor_s, estimates[shed] - limit
+            )
+        self.accepted += admitted
+        self.rejected += len(node_ids) - admitted
+        return accepted, estimates, retry
+
+    def shed_batch(self, retry_after_s: np.ndarray) -> np.ndarray:
+        """Reject a run outright (brownout, tenant quota) like
+        :meth:`shed_outright`, without telemetry; returns the hints: the
+        configured floor, raised to each finite known wait."""
+        self.rejected += len(retry_after_s)
+        floor = self.config.retry_after_floor_s
+        return np.where(
+            np.isfinite(retry_after_s), np.maximum(floor, retry_after_s), floor
+        )
+
     def shed_outright(
         self,
         node_id: int,
@@ -168,3 +229,26 @@ class AdmissionController:
 
     def reject_rate(self) -> float:
         return self.rejected / self.total if self.total else 0.0
+
+
+def prior_in_group(keys: np.ndarray, flags: Optional[np.ndarray] = None) -> np.ndarray:
+    """For each position ``i``, how many ``j < i`` have ``keys[j] ==
+    keys[i]`` (and ``flags[j]`` set, when given)."""
+    n = len(keys)
+    if n <= 1:
+        return np.zeros(n, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    if flags is None:
+        counted = np.ones(n, dtype=np.int64)
+    else:
+        counted = flags[order].astype(np.int64)
+    before = np.cumsum(counted)
+    before -= counted
+    grouped = keys[order]
+    starts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    if len(starts):
+        bounds = np.concatenate(([0], starts, [n]))
+        before -= np.repeat(before[bounds[:-1]], np.diff(bounds))
+    out = np.empty(n, dtype=np.int64)
+    out[order] = before
+    return out

@@ -5,10 +5,11 @@ EngineSimulator` into a request server.  Transport and pacing live
 elsewhere (virtual clock in :mod:`repro.serve.session`, asyncio HTTP in
 :mod:`repro.serve.http`); this class only knows two operations:
 
-* :meth:`submit` — route one incoming transaction through the cluster's
-  data-share weights, run admission control against the target node's
-  queue estimate, and either enqueue it for the current tick or shed it
-  with a retry-after hint;
+* :meth:`submit_batch` — route a run of incoming transactions through
+  the cluster's data-share weights, run admission control against each
+  target node's queue estimate, and either enqueue each for the current
+  tick or shed it with a retry-after hint (:meth:`submit` is a batch of
+  one);
 * :meth:`tick` — advance the engine by one ``dt`` step offered exactly
   the admitted arrivals, draw each request's latency from that step's
   queueing mixture (seeded inverse-CDF sampling, so runs are
@@ -17,6 +18,11 @@ elsewhere (virtual clock in :mod:`repro.serve.session`, asyncio HTTP in
   controller whenever a measurement slot closes — exactly the hook the
   batch ``EngineSimulator.run`` loop gives the offline controllers.
 
+Both work on arrays: a batch draws its routing uniforms in one call and
+admits against a cumulative per-node count, and a tick folds its
+completions with sequential sums, so a batch of ``n`` produces exactly
+what ``n`` single submissions would.
+
 Because rejected requests never reach the engine, shedding (not the
 fluid queue cap) is what bounds the backlog under an open-loop spike.
 """
@@ -24,7 +30,9 @@ fluid queue cap) is what bounds the backlog under an open-loop spike.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +42,12 @@ from repro.engine.queueing import sample_latencies
 from repro.engine.simulator import ElasticityController, EngineConfig, EngineSimulator
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.serve.admission import AdmissionConfig, AdmissionController, AdmissionDecision
+from repro.serve.admission import (
+    AdmissionConfig,
+    AdmissionController,
+    AdmissionDecision,
+    prior_in_group,
+)
 from repro.serve.resilience import OPEN, NodeHealthMonitor, ResilienceConfig
 from repro.telemetry import Telemetry, resolve_telemetry
 from repro.telemetry.metrics import labeled
@@ -43,6 +56,7 @@ from repro.telemetry.requesttrace import RequestTracer, TraceContext
 from repro.telemetry.slo import SLOConfig, SLOMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tenancy -> loadgen -> engine)
+    from repro.serve.loadgen import LoadgenReport
     from repro.tenancy.admission import TenantAdmission
 
 
@@ -84,6 +98,108 @@ class TxnOutcome:
 
 
 OnComplete = Callable[[TxnOutcome], None]
+
+#: Outcome codes of a batch's requests; :data:`REASONS` holds the
+#: matching :attr:`TxnOutcome.reason` strings.
+ADMITTED, QUEUE_LIMIT, QUOTA, BROWNOUT, CONNECTION = range(5)
+REASONS = ("", "queue-limit", "quota", "brownout", "connection")
+
+
+@dataclass(frozen=True)
+class AdmissionBatch:
+    """Per-request results of one :meth:`ServerEngine.submit_batch` call,
+    in arrival order: routed node, queue estimate at decision time,
+    outcome code (see :data:`REASONS`) and Retry-After hint."""
+
+    node: np.ndarray
+    estimate: np.ndarray
+    reason: np.ndarray
+    retry_after_s: np.ndarray
+
+    def decision(self, i: int) -> AdmissionDecision:
+        code = int(self.reason[i])
+        return AdmissionDecision(
+            code == ADMITTED,
+            int(self.node[i]),
+            float(self.estimate[i]),
+            float(self.retry_after_s[i]),
+            reason=REASONS[code],
+        )
+
+
+class _Pending(NamedTuple):
+    """The admitted requests of one batch, waiting for the next tick."""
+
+    nodes: np.ndarray
+    times: np.ndarray
+    tenants: Optional[np.ndarray]
+    names: Sequence[str]
+    traces: Optional[List[tuple]]
+    on_complete: Optional[OnComplete]
+    sink: Optional["LoadgenReport"]
+
+
+class _MetricTally:
+    """Counter increments, gauge writes and breaker feeds of one batch,
+    replayed in the order one-request-at-a-time submission makes them.
+
+    Each entry is keyed ``(request index, step)`` by the first request
+    that touches it, so labelled metrics are created in the registry in
+    the per-request order and every value ends up the same.
+    """
+
+    def __init__(self, names: Dict[tuple, str]) -> None:
+        self._names = names  # labelled-name cache shared across batches
+        self._entries: List[tuple] = []
+
+    def by_group(
+        self,
+        step: int,
+        base: str,
+        label: Optional[str],
+        mask: Optional[np.ndarray],
+        keys: Optional[np.ndarray] = None,
+        table: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Count the requests in ``mask`` (all when ``None``) on
+        ``base``, or on one ``base{label=...}`` counter per key."""
+        idx = np.flatnonzero(mask) if mask is not None else np.arange(len(keys))
+        if not len(idx):
+            return
+        if label is None:
+            self._entries.append(((int(idx[0]), step), 0, base, len(idx)))
+            return
+        grouped = keys[idx]
+        counts = np.bincount(grouped)
+        for value in np.flatnonzero(counts).tolist():
+            key = (base, label, value)
+            name = self._names.get(key)
+            if name is None:
+                shown = table[value] if table is not None else value
+                name = self._names[key] = labeled(base, **{label: shown})
+            first = int(idx[int(np.argmax(grouped == value))])
+            self._entries.append(((first, step), 0, name, int(counts[value])))
+
+    def gauge(self, key: Tuple[int, int], name: str, value: float, updates: int) -> None:
+        self._entries.append((key, 1, name, (value, updates)))
+
+    def call(self, key: Tuple[int, int], fn: Callable[[], None]) -> None:
+        self._entries.append((key, 2, fn, None))
+
+    def apply(self, tel: Telemetry) -> None:
+        for _, kind, what, amount in sorted(self._entries, key=itemgetter(0)):
+            if kind == 0:
+                tel.counter(what).inc(amount)
+            elif kind == 1:
+                tel.gauge(what).set(amount[0], updates=amount[1])
+            else:
+                what()
+
+
+def _sequential_sum(start: float, values: np.ndarray) -> float:
+    """``start + v0 + v1 + ...`` added left to right, as a running total
+    updated once per value would be (``cumsum`` is sequential)."""
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
 
 
 class ServerEngine:
@@ -208,9 +324,12 @@ class ServerEngine:
         #: experiment's cost axis (machine-hours = this / 3600).
         self.machine_seconds = 0.0
         self._rng = np.random.default_rng(seed)
-        # (node, submitted_at, callback, trace triple or None, tenant)
-        self._pending: List[Tuple[int, float, Optional[OnComplete], Optional[tuple], str]] = []
+        self._pending: List[_Pending] = []
+        self._pending_count = 0
         self._pending_per_node = np.zeros(config.max_nodes)
+        self._metric_names: Dict[tuple, str] = {}
+        self._tenant_names: List[str] = tenancy.registry.names() if tenancy else []
+        self._tenant_index = {name: i for i, name in enumerate(self._tenant_names)}
         self._slot_index = 0
         self.ticks = 0
         self.completed = 0
@@ -266,13 +385,19 @@ class ServerEngine:
                 view[:] = cluster_nodes
             self._route_cdf = np.cumsum(np.repeat(view / p, p))
         mu = self.sim._mu_base
-        self._node_rate = mu.reshape(max_nodes, p).sum(axis=1)
+        self._node_rate = np.maximum(mu.reshape(max_nodes, p).sum(axis=1), 1e-9)
         self._node_queue = self.sim.node_queue_seconds()
+
+    def _route(self, n: int) -> np.ndarray:
+        """Partitions for ``n`` requests (data-share weighted): one
+        uniform each, drawn in one call (the same stream as ``n`` single
+        draws)."""
+        cdf = self._route_cdf
+        return np.searchsorted(cdf, self._rng.random(n) * cdf[-1])
 
     def route(self) -> int:
         """Pick the partition for one request (data-share weighted)."""
-        u = self._rng.random()
-        return int(np.searchsorted(self._route_cdf, u * self._route_cdf[-1]))
+        return int(self._route(1)[0])
 
     def submit(
         self,
@@ -283,7 +408,7 @@ class ServerEngine:
         priority: int = 0,
         tenant: str = "",
     ) -> AdmissionDecision:
-        """Route and admit (or shed) one transaction.
+        """Route and admit (or shed) one transaction: a batch of one.
 
         Accepted requests complete on the next :meth:`tick`; rejected
         ones complete immediately.  ``on_complete`` receives the
@@ -295,178 +420,333 @@ class ServerEngine:
         untagged requests fall back to the spec's first tenant.
         """
         submitted_at = self.sim.now if now is None else float(now)
-        partition = self.route()
-        node_id = partition // self.sim.config.partitions_per_node
-        rate = max(float(self._node_rate[node_id]), 1e-9)
-        estimate = float(
-            self._node_queue[node_id] + self._pending_per_node[node_id] / rate
+        batch = self.submit_batch(
+            np.array([submitted_at]),
+            priorities=np.array([priority]) if priority else None,
+            tenant_codes=np.zeros(1, dtype=np.int64) if tenant else None,
+            tenant_names=(tenant,),
+            traces=(trace,) if trace is not None else None,
+            on_complete=on_complete,
         )
+        return batch.decision(0)
+
+    def submit_batch(
+        self,
+        times: np.ndarray,
+        *,
+        priorities: Optional[np.ndarray] = None,
+        tenant_codes: Optional[np.ndarray] = None,
+        tenant_names: Sequence[str] = (),
+        traces: Optional[Sequence[Optional[TraceContext]]] = None,
+        on_complete: Optional[OnComplete] = None,
+        sink: Optional["LoadgenReport"] = None,
+    ) -> "AdmissionBatch":
+        """Route and admit (or shed) a run of transactions in arrival order.
+
+        Equivalent to one :meth:`submit` per request, in order, with the
+        same RNG draws and the same outcomes: all routing uniforms come
+        from one ``rng.random(n)`` and one ``searchsorted``, and each
+        request's queue estimate counts the requests admitted to its
+        node before it (earlier in the tick or earlier in this run).
+        Tenant quotas, brownout and dead-node errors are decided in
+        arrival order.
+
+        Args:
+            times: Submission times, sorted.
+            priorities: Per-request priority (1 = sheddable in brownout);
+                all 0 when omitted.
+            tenant_codes: Per-request index into ``tenant_names``; the
+                empty name (or omitting the codes) means the default
+                tenant when tenancy is on.
+            tenant_names: Tenant name table for ``tenant_codes``.
+            traces: Per-request trace contexts (``None`` entries are
+                minted here with origin ``engine``); used only when
+                request tracing is on.
+            on_complete: Called with a :class:`TxnOutcome` for every
+                request, in arrival order for failures and at the tick
+                for completions.
+            sink: A report that takes the outcomes as arrays instead
+                (:meth:`~repro.serve.loadgen.LoadgenReport.record_failed`
+                at once, :meth:`~repro.serve.loadgen.LoadgenReport.
+                record_served` at the tick); no :class:`TxnOutcome` is
+                built.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        n = len(times)
+        partition = self._route(n)
+        node = partition // self.sim.config.partitions_per_node
+        if self.tenancy is not None:
+            names: Sequence[str] = self._tenant_names
+            codes = self._tenant_codes(n, tenant_codes, tenant_names)
+        else:
+            names, codes = tenant_names, tenant_codes
+        tel = self.telemetry
+        tally = _MetricTally(self._metric_names) if tel is not None else None
+
+        reason = np.full(n, ADMITTED, dtype=np.int8)
+        retry = np.zeros(n)
+        if self.health is not None and self._failed_set:
+            # The router's stale view sent these to a corpse: each fails
+            # like a refused connection and feeds the detector.
+            reason[np.isin(node, list(self._failed_set))] = CONNECTION
+        self._shed_by_policy(reason, retry, times, priorities, codes, names, tally)
+        estimate = self._admit(node, reason, retry)
+
+        if tally is not None:
+            self._tally_admission(tally, reason, node, retry)
+        self._fail_requests(reason == CONNECTION, node, times, tally)
+        if tally is not None:
+            tally.apply(tel)
+
+        batch = AdmissionBatch(node, estimate, reason, retry)
+        trace_ids, admitted_traces = self._trace_batch(batch, partition, times, traces)
+        admitted = np.flatnonzero(reason == ADMITTED)
+        if len(admitted):
+            self._pending_per_node += np.bincount(
+                node[admitted], minlength=len(self._pending_per_node)
+            )
+            self._pending.append(
+                _Pending(
+                    node[admitted],
+                    times[admitted],
+                    codes[admitted] if codes is not None else None,
+                    names,
+                    admitted_traces,
+                    on_complete,
+                    sink,
+                )
+            )
+            self._pending_count += len(admitted)
+        if len(admitted) < n:
+            self._finish_failed(
+                batch, times, priorities, codes, names, trace_ids, on_complete, sink
+            )
+        return batch
+
+    def _shed_by_policy(
+        self,
+        reason: np.ndarray,
+        retry: np.ndarray,
+        times: np.ndarray,
+        priorities: Optional[np.ndarray],
+        codes: Optional[np.ndarray],
+        names: Sequence[str],
+        tally: Optional["_MetricTally"],
+    ) -> None:
+        """Tenant brownout, tenant quotas and low-priority brownout, in
+        that order, marking sheds in ``reason`` (quota waits in
+        ``retry``).  All RNG-free."""
         tenancy = self.tenancy
         if tenancy is not None:
-            if not tenant:
-                tenant = tenancy.registry.tenants[0].name
-            self._count_tenant(tenant, "offered")
-
-        if self.health is not None and node_id in self._failed_set:
-            # The router's stale view sent us to a corpse: the request
-            # fails like a refused connection and feeds the detector.
-            if tenancy is not None:
-                tenancy.offered[tenant] += 1
-            return self._fail_request(
-                on_complete, trace, node_id, partition, estimate,
-                submitted_at, priority, tenant,
-            )
-
-        decision: Optional[AdmissionDecision] = None
-        if tenancy is not None:
-            # Tenant policy first: brownout sheds whole low-weight
-            # tenants before the per-request priority check, then the
-            # tenant's token bucket is charged.  Both are RNG-free.
-            if self.brownout_active and tenancy.brownout_sheddable(tenant):
-                tenancy.offered[tenant] += 1
-                tenancy.record_brownout_shed(tenant)
-                self.brownout_sheds += 1
-                self._count_tenant(tenant, "brownout_shed")
-                decision = self.admission.shed_outright(
-                    node_id, estimate, reason="brownout"
-                )
-            else:
-                quota_wait = tenancy.quota_admit(tenant, submitted_at)
-                if quota_wait is not None:
-                    self._count_tenant(tenant, "quota_shed")
-                    decision = self.admission.shed_outright(
-                        node_id, estimate, reason="quota",
-                        retry_after_s=quota_wait,
-                    )
-
-        if decision is None:
-            brownout = self.resilience.brownout if self.resilience is not None else None
-            if self.brownout_active and brownout is not None:
-                if priority > 0 and brownout.shed_low_priority:
-                    decision = self.admission.shed_outright(
-                        node_id, estimate, reason="brownout"
-                    )
+            # In arrival order: brownout sheds whole low-weight tenants
+            # before the per-request priority check, then the tenant's
+            # token bucket is charged.
+            rows = zip(codes.tolist(), times.tolist(), reason.tolist())
+            for i, (code, at, code_now) in enumerate(rows):
+                tenant = names[code]
+                if code_now == CONNECTION:
+                    tenancy.offered[tenant] += 1
+                elif self.brownout_active and tenancy.brownout_sheddable(tenant):
+                    tenancy.offered[tenant] += 1
+                    tenancy.record_brownout_shed(tenant)
+                    reason[i] = BROWNOUT
                     self.brownout_sheds += 1
                 else:
-                    limit = (
-                        self.admission.config.queue_limit_seconds
-                        * brownout.queue_factor
+                    wait = tenancy.quota_admit(tenant, at)
+                    if wait is not None:
+                        reason[i] = QUOTA
+                        retry[i] = wait
+            if tally is not None:
+                tally.by_group(0, "serve.tenant.offered", "tenant", None, codes, names)
+                for which, code in (("brownout_shed", BROWNOUT), ("quota_shed", QUOTA)):
+                    tally.by_group(
+                        1, f"serve.tenant.{which}", "tenant", reason == code, codes, names
                     )
-                    decision = self.admission.decide(node_id, estimate, limit_s=limit)
-            else:
-                decision = self.admission.decide(node_id, estimate)
+        brownout = self.resilience.brownout if self.resilience is not None else None
+        if (
+            self.brownout_active
+            and brownout is not None
+            and brownout.shed_low_priority
+            and priorities is not None
+        ):
+            low = (reason == ADMITTED) & (np.asarray(priorities) > 0)
+            reason[low] = BROWNOUT
+            self.brownout_sheds += int(np.count_nonzero(low))
 
-        trace_id: Optional[int] = None
-        trace_entry: Optional[tuple] = None
-        tracer = self.request_tracer
-        if tracer is not None:
-            ctx = trace if trace is not None else tracer.mint()
-            trace_id = ctx.trace_id
-            root = tracer.begin_request(
-                ctx,
-                submitted_at,
-                node=node_id,
-                partition=partition,
-                queue_estimate=estimate,
-                migration_span_id=self.sim.migration_span_id,
-            )
-            if decision.accepted:
-                serve_span = tracer.record_admitted(root, submitted_at)
-                trace_entry = (trace_id, root, serve_span)
-            else:
-                tracer.record_shed(
-                    root, submitted_at, decision.retry_after_s,
-                    reason=decision.reason,
-                )
+    def _admit(self, node: np.ndarray, reason: np.ndarray, retry: np.ndarray) -> np.ndarray:
+        """Queue-delay admission for the requests no policy shed, against
+        each node's backlog plus the requests admitted to it before
+        them; fills in shed hints and returns every request's estimate."""
+        limit = self.admission.config.queue_limit_seconds
+        brownout = self.resilience.brownout if self.resilience is not None else None
+        if self.brownout_active and brownout is not None:
+            limit = limit * brownout.queue_factor
+        queue, pending, rate = self._node_queue, self._pending_per_node, self._node_rate
+        checked = np.flatnonzero(reason == ADMITTED)
+        accepted, checked_estimate, checked_retry = self.admission.admit_batch(
+            node[checked], queue, pending, rate, limit_s=limit
+        )
+        reason[checked[~accepted]] = QUEUE_LIMIT
+        retry[checked] = checked_retry
+        if len(checked) == len(node):
+            return checked_estimate
+        prior = pending[node] + prior_in_group(node, reason == ADMITTED)
+        estimate = queue[node] + prior / rate[node]
+        estimate[checked] = checked_estimate
+        shed = (reason == QUOTA) | (reason == BROWNOUT)
+        if shed.any():
+            retry[shed] = self.admission.shed_batch(retry[shed])
+        return estimate
 
-        if decision.accepted:
-            self._pending_per_node[node_id] += 1.0
-            self._pending.append(
-                (node_id, submitted_at, on_complete, trace_entry, tenant)
-            )
-        else:
-            self.rejected_last_tick += 1
-            if tenancy is not None:
-                self._tenant_tick_bad[tenant] = (
-                    self._tenant_tick_bad.get(tenant, 0) + 1
-                )
-            if on_complete is not None:
-                on_complete(
-                    TxnOutcome(
-                        accepted=False,
-                        status=503,
-                        node_id=node_id,
-                        submitted_at=submitted_at,
-                        completed_at=submitted_at,
-                        latency_ms=0.0,
-                        retry_after_s=decision.retry_after_s,
-                        trace_id=trace_id,
-                        reason=decision.reason,
-                        priority=priority,
-                        tenant=tenant,
-                    )
-                )
-        return decision
+    def _tenant_codes(
+        self, n: int, codes: Optional[np.ndarray], names: Sequence[str]
+    ) -> np.ndarray:
+        """Map caller tenant tags onto registry indices (empty = default)."""
+        if codes is None:
+            return np.zeros(n, dtype=np.int64)
+        index = self._tenant_index
+        table = []
+        for name in names:
+            if name and name not in index:
+                raise KeyError(f"unknown tenant {name!r}")
+            table.append(index[name] if name else 0)
+        return np.asarray(table, dtype=np.int64)[np.asarray(codes, dtype=np.int64)]
 
-    def _count_tenant(self, tenant: str, which: str) -> None:
-        """Bump one per-tenant labelled counter (telemetry on only)."""
-        tel = self.telemetry
-        if tel is not None:
-            tel.counter(labeled(f"serve.tenant.{which}", tenant=tenant)).inc()
-
-    def _fail_request(
+    def _tally_admission(
         self,
-        on_complete: Optional[OnComplete],
-        trace: Optional[TraceContext],
-        node_id: int,
-        partition: int,
-        estimate: float,
-        submitted_at: float,
-        priority: int,
-        tenant: str = "",
-    ) -> AdmissionDecision:
-        """Fail one request against a dead node (status 500, breaker fed)."""
-        self.errors += 1
-        if self.tenancy is not None:
-            self._tenant_tick_bad[tenant] = self._tenant_tick_bad.get(tenant, 0) + 1
-        assert self.health is not None
-        self.health.record_request_failure(node_id, submitted_at)
-        tel = self.telemetry
-        if tel is not None:
-            tel.counter("serve.errors").inc()
-            tel.counter(labeled("serve.error", node=node_id)).inc()
-        trace_id: Optional[int] = None
-        tracer = self.request_tracer
-        if tracer is not None:
-            ctx = trace if trace is not None else tracer.mint()
-            trace_id = ctx.trace_id
-            root = tracer.begin_request(
-                ctx,
-                submitted_at,
-                node=node_id,
-                partition=partition,
-                queue_estimate=estimate,
-                migration_span_id=self.sim.migration_span_id,
+        tally: "_MetricTally",
+        reason: np.ndarray,
+        node: np.ndarray,
+        retry: np.ndarray,
+    ) -> None:
+        """The admission metrics of one batch, keyed like the per-request
+        path touches them (step 2: fleet counter, 3: per-node counter,
+        4: brownout counter and Retry-After gauge)."""
+        accepted = reason == ADMITTED
+        shed = (reason != ADMITTED) & (reason != CONNECTION)
+        tally.by_group(2, "serve.admitted", None, accepted)
+        tally.by_group(3, "serve.admit.accepted", "node", accepted, node)
+        tally.by_group(2, "serve.rejected", None, shed)
+        tally.by_group(3, "serve.admit.shed", "node", shed, node)
+        tally.by_group(4, "serve.brownout.shed", None, reason == BROWNOUT)
+        queue_sheds = np.flatnonzero(reason == QUEUE_LIMIT)
+        if len(queue_sheds):
+            tally.gauge(
+                (int(queue_sheds[0]), 4), "serve.admit.retry_after_s",
+                float(retry[queue_sheds[-1]]), len(queue_sheds),
             )
-            tracer.record_error(root, submitted_at, reason="connection")
-        if on_complete is not None:
+
+    def _fail_requests(
+        self,
+        failed: np.ndarray,
+        node: np.ndarray,
+        times: np.ndarray,
+        tally: Optional["_MetricTally"],
+    ) -> None:
+        """Count the requests that hit a dead node (status 500) and feed
+        each one to its breaker, in arrival order."""
+        idx = np.flatnonzero(failed)
+        if not len(idx):
+            return
+        health = self.health
+        assert health is not None
+        self.errors += len(idx)
+        for i, node_id, at in zip(idx.tolist(), node[idx].tolist(), times[idx].tolist()):
+            if tally is None:
+                health.record_request_failure(node_id, at)
+            else:
+                tally.call((i, 1), partial(health.record_request_failure, node_id, at))
+        if tally is not None:
+            tally.by_group(2, "serve.errors", None, failed)
+            tally.by_group(3, "serve.error", "node", failed, node)
+
+    def _trace_batch(
+        self,
+        batch: "AdmissionBatch",
+        partition: np.ndarray,
+        times: np.ndarray,
+        traces: Optional[Sequence[Optional[TraceContext]]],
+    ) -> Tuple[Optional[List[int]], Optional[List[tuple]]]:
+        """Span trees of one batch, in arrival order (tracing on only).
+
+        Returns every request's trace id and the ``(trace_id, root,
+        serve span)`` entries of the admitted ones, which the tick
+        closes at completion.
+        """
+        tracer = self.request_tracer
+        if tracer is None:
+            return None, None
+        trace_ids: List[int] = []
+        admitted: List[tuple] = []
+        migration = self.sim.migration_span_id
+        rows = zip(
+            batch.node.tolist(), partition.tolist(), batch.estimate.tolist(),
+            batch.reason.tolist(), batch.retry_after_s.tolist(), times.tolist(),
+        )
+        for i, (node_id, part, estimate, code, retry_after, at) in enumerate(rows):
+            ctx = traces[i] if traces is not None else None
+            if ctx is None:
+                ctx = tracer.mint()
+            trace_ids.append(ctx.trace_id)
+            root = tracer.begin_request(
+                ctx, at, node=node_id, partition=part,
+                queue_estimate=estimate, migration_span_id=migration,
+            )
+            if code == CONNECTION:
+                tracer.record_error(root, at, reason=REASONS[CONNECTION])
+            elif code == ADMITTED:
+                admitted.append((ctx.trace_id, root, tracer.record_admitted(root, at)))
+            else:
+                tracer.record_shed(root, at, retry_after, reason=REASONS[code])
+        return trace_ids, admitted
+
+    def _finish_failed(
+        self,
+        batch: "AdmissionBatch",
+        times: np.ndarray,
+        priorities: Optional[np.ndarray],
+        codes: Optional[np.ndarray],
+        names: Sequence[str],
+        trace_ids: Optional[List[int]],
+        on_complete: Optional[OnComplete],
+        sink: Optional["LoadgenReport"],
+    ) -> None:
+        """Resolve a batch's sheds (503) and errors (500) immediately."""
+        failed = np.flatnonzero(batch.reason != ADMITTED)
+        reason = batch.reason[failed]
+        self.rejected_last_tick += int(np.count_nonzero(reason != CONNECTION))
+        if self.tenancy is not None:
+            for code in codes[failed].tolist():
+                tenant = names[code]
+                self._tenant_tick_bad[tenant] = self._tenant_tick_bad.get(tenant, 0) + 1
+        status = np.where(reason == CONNECTION, 500, 503)
+        if sink is not None:
+            sink.record_failed(
+                status,
+                batch.retry_after_s[failed],
+                reason == BROWNOUT,
+                codes[failed] if codes is not None else None,
+                names,
+            )
+        if on_complete is None:
+            return
+        for i, code, code_status in zip(failed.tolist(), reason.tolist(), status.tolist()):
+            at = float(times[i])
             on_complete(
                 TxnOutcome(
                     accepted=False,
-                    status=500,
-                    node_id=node_id,
-                    submitted_at=submitted_at,
-                    completed_at=submitted_at,
+                    status=code_status,
+                    node_id=int(batch.node[i]),
+                    submitted_at=at,
+                    completed_at=at,
                     latency_ms=0.0,
-                    trace_id=trace_id,
-                    reason="connection",
-                    priority=priority,
-                    tenant=tenant,
+                    retry_after_s=float(batch.retry_after_s[i]),
+                    trace_id=trace_ids[i] if trace_ids is not None else None,
+                    reason=REASONS[code],
+                    priority=int(priorities[i]) if priorities is not None else 0,
+                    tenant=names[codes[i]] if codes is not None else "",
                 )
             )
-        return AdmissionDecision(
-            False, node_id, estimate, 0.0, reason="connection"
-        )
 
     # ------------------------------------------------------------------
     # Tick path
@@ -475,14 +755,18 @@ class ServerEngine:
     def tick(self) -> Dict[str, float]:
         """Advance one engine step serving the admitted arrivals.
 
-        Returns the engine step record, extended with the tick's
-        admitted/rejected counts.
+        Completions fold in as arrays: one latency draw per admitted
+        request from the step's mixture, sequential sums for the running
+        totals, and a :class:`TxnOutcome` only for requests that carry a
+        callback.  Returns the engine step record, extended with the
+        tick's admitted/rejected counts.
         """
         dt = self.sim.config.dt_seconds
         pending = self._pending
+        admitted = self._pending_count
         self._pending = []
+        self._pending_count = 0
         self._pending_per_node[:] = 0.0
-        admitted = len(pending)
         rejected = self.rejected_last_tick
         self.rejected_last_tick = 0
         self.machine_seconds += self.sim.machines_allocated * dt
@@ -492,64 +776,29 @@ class ServerEngine:
         slo = self.slo_monitor
         slo_good = 0
         slo_bad = rejected  # a 503 burns budget like an over-SLA reply
-        tenant_slos = self.tenant_slos
 
         if admitted:
             uniforms = self._rng.random(admitted)
             latencies_s = sample_latencies(self.sim.last_latency_components, uniforms)
-            latency_hist = tel.histogram("serve.latency_ms") if tel is not None else None
-            tracer = self.request_tracer
-            for (node_id, submitted_at, on_complete, trace_entry, tenant), latency_s in zip(
-                pending, latencies_s
-            ):
-                latency_ms = float(latency_s) * 1000.0
-                completed_at = submitted_at + float(latency_s)
-                self.completed += 1
-                self.latency_sum_ms += latency_ms
-                if latency_hist is not None:
-                    latency_hist.observe(latency_ms)
-                if slo is not None:
-                    if slo.classify(latency_ms):
-                        slo_good += 1
-                    else:
-                        slo_bad += 1
-                tenant_slo = tenant_slos.get(tenant)
-                if tenant_slo is not None:
-                    # Per-tenant verdicts use the *tenant's* latency
-                    # objective, not the fleet threshold.
-                    self._count_tenant(tenant, "served")
-                    if tenant_slo.classify(latency_ms):
-                        self._tenant_tick_good[tenant] = (
-                            self._tenant_tick_good.get(tenant, 0) + 1
-                        )
-                    else:
-                        self._tenant_tick_bad[tenant] = (
-                            self._tenant_tick_bad.get(tenant, 0) + 1
-                        )
-                trace_id: Optional[int] = None
-                if trace_entry is not None and tracer is not None:
-                    trace_id, root, serve_span = trace_entry
-                    tracer.finish_served(root, serve_span, completed_at, latency_ms)
-                if on_complete is not None:
-                    on_complete(
-                        TxnOutcome(
-                            accepted=True,
-                            status=200,
-                            node_id=node_id,
-                            submitted_at=submitted_at,
-                            completed_at=completed_at,
-                            latency_ms=latency_ms,
-                            trace_id=trace_id,
-                            tenant=tenant,
-                        )
-                    )
+            latencies_ms = latencies_s * 1000.0
+            self.completed += admitted
+            self.latency_sum_ms = _sequential_sum(self.latency_sum_ms, latencies_ms)
+            if tel is not None:
+                tel.histogram("serve.latency_ms").observe_many(latencies_ms)
+            if slo is not None:
+                good = int(np.count_nonzero(slo.classify_many(latencies_ms)))
+                slo_good += good
+                slo_bad += admitted - good
+            if self.tenant_slos:
+                self._fold_tenants(pending, latencies_ms)
+            self._deliver(pending, latencies_s, latencies_ms)
 
         if slo is not None:
             # Empty ticks still advance the windows (alerts must resolve
             # once the errors age out, even with no traffic).
             slo.observe(self.sim.now, slo_good, slo_bad)
-        if tenant_slos:
-            for name, monitor in tenant_slos.items():
+        if self.tenant_slos:
+            for name, monitor in self.tenant_slos.items():
                 monitor.observe(
                     self.sim.now,
                     self._tenant_tick_good.get(name, 0),
@@ -582,6 +831,76 @@ class ServerEngine:
         record["admitted"] = float(admitted)
         record["rejected"] = float(rejected)
         return record
+
+    def _fold_tenants(self, pending: List["_Pending"], latencies_ms: np.ndarray) -> None:
+        """Per-tenant served counters and SLO verdicts, each tenant
+        against its own latency objective."""
+        codes = np.concatenate([chunk.tenants for chunk in pending])
+        names = self._tenant_names
+        thresholds = np.array(
+            [self.tenant_slos[name].config.latency_threshold_ms for name in names]
+        )
+        good = latencies_ms <= thresholds[codes]
+        served = np.bincount(codes, minlength=len(names))
+        good_counts = np.bincount(codes, weights=good, minlength=len(names))
+        tel = self.telemetry
+        # First-served order, so labelled counters are created in the
+        # order the per-request fold would create them.
+        present, first = np.unique(codes, return_index=True)
+        for code in present[np.argsort(first)].tolist():
+            name = names[code]
+            n_good = int(good_counts[code])
+            self._tenant_tick_good[name] = self._tenant_tick_good.get(name, 0) + n_good
+            self._tenant_tick_bad[name] = (
+                self._tenant_tick_bad.get(name, 0) + int(served[code]) - n_good
+            )
+            if tel is not None:
+                tel.counter(labeled("serve.tenant.served", tenant=name)).inc(int(served[code]))
+
+    def _deliver(
+        self,
+        pending: List["_Pending"],
+        latencies_s: np.ndarray,
+        latencies_ms: np.ndarray,
+    ) -> None:
+        """Close traces and hand completions to callbacks and sinks."""
+        tracer = self.request_tracer
+        start = 0
+        for chunk in pending:
+            stop = start + len(chunk.nodes)
+            chunk_ms = latencies_ms[start:stop]
+            if chunk.traces is not None or chunk.on_complete is not None:
+                completed_at = (chunk.times + latencies_s[start:stop]).tolist()
+                ms = chunk_ms.tolist()
+                if chunk.traces is not None and tracer is not None:
+                    for (_, root, serve_span), at, latency in zip(
+                        chunk.traces, completed_at, ms
+                    ):
+                        tracer.finish_served(root, serve_span, at, latency)
+                if chunk.on_complete is not None:
+                    self._complete(chunk, completed_at, ms)
+            if chunk.sink is not None:
+                chunk.sink.record_served(chunk_ms, chunk.tenants, chunk.names)
+            start = stop
+
+    @staticmethod
+    def _complete(chunk: "_Pending", completed_at: List[float], ms: List[float]) -> None:
+        on_complete = chunk.on_complete
+        names = chunk.names
+        tenants = chunk.tenants.tolist() if chunk.tenants is not None else None
+        for j, (node_id, at) in enumerate(zip(chunk.nodes.tolist(), chunk.times.tolist())):
+            on_complete(
+                TxnOutcome(
+                    accepted=True,
+                    status=200,
+                    node_id=node_id,
+                    submitted_at=at,
+                    completed_at=completed_at[j],
+                    latency_ms=ms[j],
+                    trace_id=chunk.traces[j][0] if chunk.traces is not None else None,
+                    tenant=names[tenants[j]] if tenants is not None else "",
+                )
+            )
 
     def _run_health_checks(self) -> None:
         """One probe round at the tick boundary; updates brownout state."""
@@ -623,7 +942,7 @@ class ServerEngine:
     @property
     def pending_requests(self) -> int:
         """Requests admitted but not yet resolved by a tick."""
-        return len(self._pending)
+        return self._pending_count
 
     @property
     def moves_completed(self) -> int:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import json
+import math
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -51,7 +52,7 @@ from repro.errors import ConfigurationError
 from repro.serve.checkpoint import CheckpointConfig, capture_engine, is_quiescent
 from repro.serve.checkpoint import write_checkpoint as _write_checkpoint
 from repro.serve.engine import ServerEngine, TxnOutcome
-from repro.serve.loadgen import LoadgenReport
+from repro.serve.loadgen import LoadgenReport, submit_arrivals
 from repro.serve.resilience import ResilientClient, RetryConfig
 from repro.telemetry.export import render_prometheus
 from repro.telemetry.perf import PerfRecorder, render_prometheus_perf
@@ -209,44 +210,38 @@ class ServeApp:
         self._timer_seq += 1
         heapq.heappush(self._timers, (float(when), self._timer_seq, fn))
 
-    def _next_arrival(self) -> Optional[float]:
-        if self._arrivals is None or self._arrival_index >= len(self._arrivals):
-            return None
-        return float(self._arrivals[self._arrival_index])
+    def _next_timer(self) -> float:
+        return self._timers[0][0] if self._timers else math.inf
 
     def _fire_embedded(self, until: float) -> None:
-        """Fire arrivals and due retry timers in engine-time order."""
+        """Fire arrivals and due retry timers in engine-time order.
+
+        A timer due at or before the next arrival fires first; each run
+        of arrivals up to the next timer (or ``until``) is submitted as
+        one batch.
+        """
+        arrivals = self._arrivals
+        if arrivals is None:
+            arrivals = np.empty(0)
+
+        def stop_index() -> int:
+            bound = min(self._next_timer(), until)
+            return int(np.searchsorted(arrivals, bound, side="left"))
+
         while True:
-            arrival = self._next_arrival()
-            timer = self._timers[0][0] if self._timers else None
-            candidates = [t for t in (arrival, timer) if t is not None and t < until]
-            if not candidates:
-                return
-            when = min(candidates)
-            if timer is not None and timer <= when and timer < until:
+            timer = self._next_timer()
+            index = self._arrival_index
+            arrival = float(arrivals[index]) if index < len(arrivals) else math.inf
+            if timer < until and timer <= arrival:
                 _, _, fn = heapq.heappop(self._timers)
                 fn()
                 continue
-            index = self._arrival_index
-            self._arrival_index += 1
-            tenant = ""
-            if self._tenant_indices is not None and self._tenant_names is not None:
-                tenant = self._tenant_names[int(self._tenant_indices[index])]
-            if self.client is not None:
-                self.client.submit(when, tenant=tenant)
-            else:
-                tracer = self.engine.request_tracer
-                trace = tracer.mint("loadgen") if tracer is not None else None
-                if tenant:
-                    self.loadgen_report.offer(tenant)
-                    self.engine.submit(
-                        self.loadgen_report.finish, now=when, trace=trace,
-                        tenant=tenant,
-                    )
-                else:
-                    self.engine.submit(
-                        self.loadgen_report.record, now=when, trace=trace
-                    )
+            if arrival >= until:
+                return
+            self._arrival_index = submit_arrivals(
+                self.engine, self.loadgen_report, self.client, arrivals, index,
+                stop_index, self._tenant_indices, self._tenant_names,
+            )
 
     def _maybe_checkpoint(self) -> None:
         if self.checkpoint is None or self._checkpoint_due is None:

@@ -23,7 +23,7 @@ collects a :class:`LoadgenReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -260,6 +260,49 @@ class LoadgenReport:
         self.offer(outcome.tenant)
         self.finish(outcome)
 
+    def record_failed(
+        self,
+        status: np.ndarray,
+        retry_after_s: np.ndarray,
+        brownout: np.ndarray,
+        tenant_codes: Optional[np.ndarray],
+        tenant_names: Sequence[str],
+    ) -> None:
+        """:meth:`record` for a run of sheds (503) and errors (500), as
+        :class:`~repro.serve.engine.ServerEngine` hands them to a sink."""
+        errored = status == 500
+        n_errored = int(np.count_nonzero(errored))
+        self.offered += len(status)
+        self.errored += n_errored
+        self.rejected += len(status) - n_errored
+        self.retry_after_s.extend(retry_after_s[~errored].tolist())
+        self.brownout_shed += int(np.count_nonzero(brownout & ~errored))
+        if tenant_codes is not None:
+            for code, error in zip(tenant_codes.tolist(), errored.tolist()):
+                tenant = tenant_names[code]
+                if tenant:
+                    bucket = self._bucket(tenant)
+                    bucket["offered"] += 1
+                    bucket["errored" if error else "rejected"] += 1
+
+    def record_served(
+        self,
+        latencies_ms: np.ndarray,
+        tenant_codes: Optional[np.ndarray],
+        tenant_names: Sequence[str],
+    ) -> None:
+        """:meth:`record` for one tick's completions, in admission order."""
+        self.offered += len(latencies_ms)
+        self.accepted += len(latencies_ms)
+        self.latencies_ms.extend(latencies_ms.tolist())
+        if tenant_codes is not None:
+            for code in tenant_codes.tolist():
+                tenant = tenant_names[code]
+                if tenant:
+                    bucket = self._bucket(tenant)
+                    bucket["offered"] += 1
+                    bucket["accepted"] += 1
+
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
@@ -391,11 +434,64 @@ class LoadgenReport:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
+def submit_arrivals(
+    engine: ServerEngine,
+    report: LoadgenReport,
+    client: Optional[ResilientClient],
+    arrivals: np.ndarray,
+    start: int,
+    stop_index: Callable[[], int],
+    tenant_indices: Optional[np.ndarray] = None,
+    tenant_names: Optional[List[str]] = None,
+) -> int:
+    """Submit ``arrivals[start:stop_index()]`` in order; returns the new
+    cursor.  ``arrivals[start]`` is always submitted.
+
+    Without a retry client the run is one
+    :meth:`~repro.serve.engine.ServerEngine.submit_batch` call whose
+    outcomes go straight into ``report``.  A retry client can schedule a
+    backoff inside the run, which must fire before any later arrival, so
+    it gets one request at a time, with ``stop_index`` asked again after
+    each.
+    """
+    if client is None:
+        stop = max(stop_index(), start + 1)
+        tracer = engine.request_tracer
+        traces = (
+            [tracer.mint("loadgen") for _ in range(stop - start)]
+            if tracer is not None
+            else None
+        )
+        engine.submit_batch(
+            arrivals[start:stop],
+            tenant_codes=(
+                tenant_indices[start:stop] if tenant_indices is not None else None
+            ),
+            tenant_names=tenant_names or (),
+            traces=traces,
+            sink=report,
+        )
+        return stop
+    index = start
+    while True:
+        tenant = ""
+        if tenant_indices is not None and tenant_names is not None:
+            tenant = tenant_names[int(tenant_indices[index])]
+        client.submit(float(arrivals[index]), tenant=tenant)
+        index += 1
+        if index >= len(arrivals) or index >= stop_index():
+            return index
+
+
 class LoadGenerator:
     """Fires an arrival schedule at a :class:`ServerEngine` open-loop.
 
-    Arrivals are chained one event at a time on the clock (constant heap
-    pressure regardless of schedule length); outcomes accumulate into
+    One clock event submits every arrival before the next pending clock
+    event (a tick, a retry or hedge backoff, a co-scheduled probe) or
+    the end of the current ``run_until``, as one batch; then the next
+    event is armed at the first arrival left.  Arrivals run after the
+    other events due at the same instant, so a tick at time ``T`` serves
+    the arrivals strictly before ``T``.  Outcomes accumulate into
     :attr:`report`.
     """
 
@@ -451,21 +547,21 @@ class LoadGenerator:
         if self._next >= len(self.arrivals):
             self._armed = False
             return
-        self.clock.call_at(float(self.arrivals[self._next]), self._fire)
+        self.clock.call_at(float(self.arrivals[self._next]), self._fire, priority=1)
         self._armed = True
 
+    def _stop_index(self) -> int:
+        """End of the current batch: arrivals strictly before the next
+        pending event, and none past the running ``run_until``."""
+        clock = self.clock
+        return min(
+            int(np.searchsorted(self.arrivals, clock.next_event_time(), side="left")),
+            int(np.searchsorted(self.arrivals, clock.deadline + 1e-9, side="right")),
+        )
+
     def _fire(self) -> None:
-        index = self._next
-        self._next += 1
-        tenant = ""
-        if self.tenant_indices is not None and self.tenant_names is not None:
-            tenant = self.tenant_names[int(self.tenant_indices[index])]
-        if self.client is not None:
-            self.client.submit(self.clock.now, tenant=tenant)
-        else:
-            tracer = self.engine.request_tracer
-            trace = tracer.mint("loadgen") if tracer is not None else None
-            self.engine.submit(
-                self.report.record, now=self.clock.now, trace=trace, tenant=tenant
-            )
+        self._next = submit_arrivals(
+            self.engine, self.report, self.client, self.arrivals, self._next,
+            self._stop_index, self.tenant_indices, self.tenant_names,
+        )
         self._schedule_next()

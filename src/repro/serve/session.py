@@ -198,6 +198,7 @@ class ServeSession:
         checkpoint: Optional[CheckpointConfig] = None,
         tenant_indices: Optional[np.ndarray] = None,
         tenant_names: Optional[List[str]] = None,
+        timeseries: Optional["TimeSeriesStore"] = None,
     ) -> "ServeSession":
         """Rebuild a session from a snapshot written by an earlier run.
 
@@ -205,7 +206,9 @@ class ServeSession:
         configuration as the checkpointed one (fingerprint-verified),
         and ``arrivals`` must be the same full schedule — the cursor in
         the snapshot skips the part already consumed.  The resumed
-        session continues bit-identically to an uninterrupted run.
+        session continues bit-identically to an uninterrupted run.  A
+        ``timeseries`` store (which needs engine telemetry, as in the
+        constructor) samples from the restored tick onward.
         """
         state = read_checkpoint(checkpoint_path)
         try:
@@ -225,6 +228,7 @@ class ServeSession:
             checkpoint=checkpoint,
             tenant_indices=tenant_indices,
             tenant_names=tenant_names,
+            timeseries=timeseries,
         )
         restore_engine(engine, engine_state)
         control_state = state.get("control")

@@ -40,10 +40,12 @@ import multiprocessing
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError, ReproError, TransportError
 from repro.serve.admission import AdmissionConfig
 from repro.serve.checkpoint import capture_engine, ensure_quiescent, restore_engine
-from repro.serve.engine import ServerEngine
+from repro.serve.engine import ServerEngine, TxnOutcome
 from repro.serve.transport import (
     DEFAULT_TIMEOUT_S,
     PipeTransport,
@@ -212,26 +214,45 @@ class WorkerServer:
             return self._run_step(message)
 
     def _run_step(self, message: Dict[str, object]) -> Dict[str, object]:
+        """Submit the step's arrivals as one batch, then tick once."""
         engine = self.engine
-        outcomes: List[object] = []
-        tracing = engine.request_tracer is not None
-        for arrival in message.get("arrivals", ()):  # type: ignore[union-attr]
+        outcomes: List[TxnOutcome] = []
+        arrivals = message.get("arrivals") or ()
+        if arrivals:
+            times, trace_ids, origins, priorities = zip(*(a[:4] for a in arrivals))
             # 4 elements pre-tenancy, 5 with a tenant tag at the edge.
-            t, trace_id, origin, priority, *rest = arrival
-            tenant = str(rest[0]) if rest else ""
-            trace = (
-                TraceContext(int(trace_id), str(origin))
-                if tracing and trace_id is not None
-                else None
-            )
-            engine.submit(
-                outcomes.append, now=float(t), trace=trace,
-                priority=int(priority), tenant=tenant,
+            tenant_names: Dict[str, int] = {}
+            tenant_codes = None
+            if any(len(a) > 4 for a in arrivals):
+                tenant_codes = np.array(
+                    [
+                        tenant_names.setdefault(
+                            str(a[4]) if len(a) > 4 else "", len(tenant_names)
+                        )
+                        for a in arrivals
+                    ],
+                    dtype=np.int64,
+                )
+            traces = None
+            if engine.request_tracer is not None:
+                traces = [
+                    TraceContext(int(trace_id), str(origin))
+                    if trace_id is not None
+                    else None
+                    for trace_id, origin in zip(trace_ids, origins)
+                ]
+            engine.submit_batch(
+                np.array(times, dtype=np.float64),
+                priorities=np.array(priorities, dtype=np.int64),
+                tenant_codes=tenant_codes,
+                tenant_names=list(tenant_names),
+                traces=traces,
+                on_complete=outcomes.append,
             )
         record = engine.tick()
         return {
             "ok": True,
-            "outcomes": [asdict(outcome) for outcome in outcomes],
+            "outcomes": [dict(vars(outcome)) for outcome in outcomes],
             "now": engine.now,
             "admitted": int(record["admitted"]),
             "rejected": int(record["rejected"]),

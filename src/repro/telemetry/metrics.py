@@ -12,6 +12,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Default latency-style buckets (milliseconds): sub-SLA decades up to
@@ -79,9 +81,11 @@ class Gauge:
     value: float = 0.0
     updates: int = 0
 
-    def set(self, value: float) -> None:
+    def set(self, value: float, updates: int = 1) -> None:
+        """Write ``value``; ``updates`` > 1 records a run of writes of
+        which ``value`` was the last."""
         self.value = float(value)
-        self.updates += 1
+        self.updates += updates
 
     def as_record(self) -> Dict[str, object]:
         return {
@@ -126,6 +130,18 @@ class Histogram:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.total += value
         self.count += 1
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """Observe every value in order: the same counts as
+        :meth:`observe` in a loop, and the same ``total`` (a sequential
+        ``cumsum``, not a pairwise sum)."""
+        if not len(values):
+            return
+        slots = np.searchsorted(self.buckets, values, side="left")
+        for slot, hits in enumerate(np.bincount(slots, minlength=len(self.counts)).tolist()):
+            self.counts[slot] += hits
+        self.total = float(np.cumsum(np.concatenate(([self.total], values)))[-1])
+        self.count += len(values)
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -29,6 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import labeled
@@ -164,6 +166,10 @@ class SLOMonitor:
     def classify(self, latency_ms: float) -> bool:
         """Good/bad verdict for one *completed* request."""
         return latency_ms <= self.config.latency_threshold_ms
+
+    def classify_many(self, latencies_ms: np.ndarray) -> np.ndarray:
+        """:meth:`classify` for every completion of a tick at once."""
+        return latencies_ms <= self.config.latency_threshold_ms
 
     def observe(self, t: float, good: int, bad: int) -> None:
         """Fold one tick's good/bad counts in and re-evaluate the alert.

@@ -30,6 +30,7 @@ from repro.serve import (
     write_checkpoint,
 )
 from repro.serve.checkpoint import capture_engine, ensure_quiescent, restore_engine
+from repro.telemetry.timeseries import TimeSeriesStore
 
 SAT = 12.0
 
@@ -266,3 +267,33 @@ class TestServeCheckpointCLI:
         code = main(http_args + ["--restore", str(tmp_path / "serve.ckpt")])
         assert code == 2
         assert "--no-http" in capsys.readouterr().err
+
+
+class TestResumeTimeseries:
+    def test_resume_checks_the_store_needs_telemetry(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        arrivals = poisson_arrivals(6.0, 60.0, seed=2)
+        session = ServeSession(ServerEngine(small_config(), initial_nodes=2), arrivals)
+        session.run(30.0)
+        session.write_checkpoint(str(path))
+        with pytest.raises(ConfigurationError, match="telemetry"):
+            ServeSession.resume(
+                ServerEngine(small_config(), initial_nodes=2), arrivals, str(path),
+                timeseries=TimeSeriesStore(),
+            )
+
+    def test_cli_restore_samples_the_remaining_run(self, tmp_path, capsys):
+        args = TestServeCheckpointCLI().serve_args(tmp_path)
+        assert main(args) == 0
+        capsys.readouterr()
+        dump = tmp_path / "ts.json"
+        restore = args + [
+            "--restore", str(tmp_path / "serve.ckpt"), "--timeseries", str(dump),
+        ]
+        assert main(restore) == 0
+        out = capsys.readouterr().out
+        assert "restored from" in out
+        ticks = json.loads(dump.read_text())["points"]["serve.ticks"]["1"]
+        # The last cadence checkpoint is at t=240 of the 300 s run, so
+        # the resumed store holds exactly the final 60 one-second ticks.
+        assert [point["t"] for point in ticks] == [float(t) for t in range(241, 301)]

@@ -20,6 +20,7 @@ from repro.engine.queueing import (
     mixture_mean,
     mixture_quantiles,
     mixture_quantiles_steps,
+    sample_latencies,
 )
 from repro.errors import ConfigurationError
 
@@ -335,3 +336,67 @@ class TestBatchedKernels:
                 mixture_quantiles(comps, quantiles),
                 err_msg=f"quantiles row {s} not bit-identical",
             )
+
+
+def _reference_bisect_many(w2, d2, r2, qs, hi):
+    """The allocating bisection ``_bisect_many`` replaced; kept as the
+    reference the in-place version must match bit for bit."""
+    lo_b = np.zeros((len(hi), len(qs)))
+    hi_b = np.broadcast_to(hi[:, None], lo_b.shape).copy()
+    for _ in range(40):
+        mid = 0.5 * (lo_b + hi_b)
+        gap = mid[:, :, None] - d2[:, None, :]
+        mass = np.where(
+            gap > 0, 1.0 - np.exp(-r2[:, None, :] * np.maximum(gap, 0.0)), 0.0
+        )
+        cdf = (mass * w2[:, None, :]).sum(-1)
+        below = cdf < qs
+        lo_b = np.where(below, mid, lo_b)
+        hi_b = np.where(below, hi_b, mid)
+    return 0.5 * (lo_b + hi_b)
+
+
+class TestInPlaceBisection:
+    """``_bisect_many`` works in preallocated buffers and drops
+    zero-weight classes; neither may change a bit of its output."""
+
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        c=st.integers(min_value=1, max_value=10),
+        q=st.integers(min_value=1, max_value=64),
+        zero_mask=st.integers(min_value=0, max_value=2**10 - 1),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, k, c, q, zero_mask, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(c), size=k)
+        zero = np.array([(zero_mask >> j) & 1 for j in range(c)], dtype=bool)
+        if zero.all():
+            zero[rng.integers(c)] = False
+        w[:, zero] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        d = rng.uniform(0.0, 2.0, (k, c)) * rng.choice([0.01, 1.0, 10.0])
+        r = rng.uniform(0.05, 80.0, (k, c))
+        qs = np.clip(rng.random(q), 1e-9, 1.0 - 1e-9)
+        hi = (d - np.log(max(1.0 - qs.max(), 1e-12)) / r).max(-1) + 1e-9
+        np.testing.assert_array_equal(
+            _bisect_many(w, d, r, qs, hi), _reference_bisect_many(w, d, r, qs, hi)
+        )
+
+    def test_steady_mixture_with_an_idle_class(self):
+        # Two merged classes, one of them the idle nodes' zero weight:
+        # the serving benchmark's common case.
+        w = np.array([[0.0, 1.0]])
+        d = np.array([[0.005, 0.041]])
+        r = np.array([[290.0, 150.0]])
+        qs = np.random.default_rng(0).random(300)
+        hi = (d - np.log(max(1.0 - qs.max(), 1e-12)) / r).max(-1) + 1e-9
+        np.testing.assert_array_equal(
+            _bisect_many(w, d, r, qs, hi), _reference_bisect_many(w, d, r, qs, hi)
+        )
+
+    def test_nan_uniform_rejected(self):
+        comps = LatencyComponents(np.array([0.5, 0.5]), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ConfigurationError, match="NaN"):
+            sample_latencies(comps, np.array([0.5, np.nan]))
