@@ -13,6 +13,10 @@
 #   * out/soak-report.json — the machine-readable gate report,
 #   * out/soak-smoke-bundle — digest-verified debug bundle with the
 #     merged cross-process telemetry.
+# A second leg repeats the soak over TCP with the same seed and asserts
+# its deterministic report fields (offered, served, shed, errored, p99,
+# conservation) equal the pipe leg's: the lock-step edge is
+# bit-identical across transports.
 # See docs/SERVING.md § Distributed serving.
 set -euo pipefail
 
@@ -20,10 +24,11 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 REPORT="${REPORT_PATH:-out/soak-report.json}"
+TCP_REPORT="${TCP_REPORT_PATH:-out/soak-report-tcp.json}"
 BUNDLE="${BUNDLE_DIR:-out/soak-smoke-bundle}"
 OUT=$(mktemp)
 rm -rf "$BUNDLE"
-rm -f "$REPORT"
+rm -f "$REPORT" "$TCP_REPORT"
 
 # The soak's worker processes are children of the `repro soak` process
 # and are reaped by its session teardown; the trap covers the script's
@@ -73,4 +78,30 @@ echo "soak report verified: $REPORT"
 [ -f "$BUNDLE/MANIFEST.json" ] || { echo "no debug bundle at $BUNDLE" >&2; exit 1; }
 python -c "from repro.telemetry.bundle import verify_bundle; verify_bundle('$BUNDLE')" \
     || { echo "bundle manifest failed verification" >&2; exit 1; }
-echo "soak smoke passed: gates green, conservation exact, bundle verified"
+# TCP leg: same seed and fleet over localhost sockets.
+STATUS=0
+python -m repro.cli soak \
+    --workers 3 --transport tcp \
+    --rate 300 --duration 60 --seed 7 \
+    --nodes 1 --max-nodes 4 --saturation 438 --queue-limit 8 \
+    --max-p99 500 --max-shed-rate 0.2 \
+    --trace-requests \
+    --slo \
+    --report "$TCP_REPORT" > "$OUT" || STATUS=$?
+if [ "$STATUS" -ne 0 ]; then
+    echo "tcp soak failed (exit $STATUS):" >&2
+    cat "$OUT" >&2
+    exit "$STATUS"
+fi
+python - "$REPORT" "$TCP_REPORT" <<'PY'
+import json, sys
+pipe, tcp = (json.load(open(path)) for path in sys.argv[1:])
+assert tcp["config"]["mode"] == "tcp", tcp["config"]
+fields = ("offered", "accepted", "rejected", "errored", "in_flight", "p99_ms",
+          "conserved")
+diff = {k: (pipe[k], tcp[k]) for k in fields if pipe[k] != tcp[k]}
+assert not diff, f"tcp soak differs from the pipe soak: {diff}"
+assert tcp["passed"] is True, tcp["failures"]
+PY
+echo "tcp soak matches the pipe soak: $TCP_REPORT"
+echo "soak smoke passed: gates green, conservation exact, bundle verified, tcp = pipe"

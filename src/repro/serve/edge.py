@@ -7,13 +7,17 @@ breakers, while each worker process owns one
 controller, load monitor and control loop).  The pieces meet over the
 strict request/reply protocol of :mod:`repro.serve.worker`:
 
-* every edge tick slices the arrival schedule, routes each request to a
-  worker (capacity-weighted over the advertised machine counts, open
-  breakers zeroed out), applies edge admission + brownout, then posts
-  one ``step`` batch to every worker *before* collecting any reply —
-  the shards compute their tick concurrently, but replies are folded in
-  worker order, so the aggregate report is deterministic regardless of
-  process scheduling;
+* every edge tick works on arrays: it slices the arrival schedule with
+  one ``searchsorted``, takes one liveness and breaker snapshot of the
+  fleet, routes the tick's requests with one ``rng.random`` call
+  (capacity-weighted over the advertised machine counts, open breakers
+  zeroed out; :func:`route_batch`), applies edge admission + brownout
+  against the advertised queues, then posts one columnar ``step`` frame
+  to every worker *before* collecting any reply — the shards compute
+  their tick concurrently, but replies are folded in worker order
+  (failures before completions), so the aggregate report is
+  deterministic regardless of process scheduling and equal to routing
+  and folding one request at a time;
 * a worker whose transport breaks mid-tick turns its whole batch into
   terminal 500s (reason ``"connection"``) and feeds its breaker — the
   conservation identity ``offered = served + shed + errored + in-flight``
@@ -50,7 +54,14 @@ from repro.serve.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.serve.engine import TxnOutcome
+from repro.serve.engine import (
+    ADMITTED,
+    BROWNOUT,
+    CONNECTION,
+    QUEUE_LIMIT,
+    QUOTA,
+    _MetricTally,
+)
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.resilience import (
     OPEN,
@@ -66,7 +77,15 @@ from repro.serve.transport import (
     accept_transport,
     bind_listener,
 )
-from repro.serve.worker import _SPAWN, WorkerHandle, WorkerSpec, worker_main
+from repro.serve.worker import (
+    _SPAWN,
+    StepReply,
+    WorkerHandle,
+    WorkerSpec,
+    parse_step_reply,
+    step_message,
+    worker_main,
+)
 from repro.telemetry import Span, Telemetry
 from repro.telemetry.merge import DeltaAccumulator, build_fleet_view
 from repro.telemetry.perf import PerfRecorder, maybe_span
@@ -78,6 +97,46 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tenancy.admission import TenantAdmission
+
+
+def route_batch(
+    rng: np.random.Generator,
+    n: int,
+    machines: np.ndarray,
+    routable: np.ndarray,
+    alive: np.ndarray,
+    low_priority_fraction: float = 0.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Priorities and target workers for ``n`` requests of one tick.
+
+    Per request the edge spends one uniform on its priority (only when
+    ``low_priority_fraction`` is positive) and then one on its route, so
+    the ``n`` or ``2n`` uniforms come from one ``rng.random`` call,
+    de-interleaved.  A worker's weight is its advertised machine count
+    when it is ``routable`` (alive, breaker not open) and has machines,
+    else 0; the route picks the first worker whose cumulative weight
+    exceeds ``draw * total``.  With every weight zero the draw falls back
+    to uniform over the ``alive`` workers, and with none alive the worker
+    is -1 (the request then fails as ``"connection"``).
+    """
+    if low_priority_fraction > 0.0:
+        draws = rng.random(2 * n)
+        priority = (draws[0::2] < low_priority_fraction).astype(np.int64)
+        draws = draws[1::2]
+    else:
+        priority = np.zeros(n, dtype=np.int64)
+        draws = rng.random(n)
+    weights = np.where(routable & (machines > 0), machines, 0.0)
+    cumulative = np.cumsum(weights)
+    total = cumulative[-1]
+    if total > 0.0:
+        worker = np.searchsorted(cumulative, draws * total, side="right")
+        return priority, np.minimum(worker, len(weights) - 1)
+    live = np.flatnonzero(alive)
+    if not len(live):
+        return priority, np.full(n, -1, dtype=np.int64)
+    pick = (draws * len(live)).astype(np.int64)
+    return priority, live[np.minimum(pick, len(live) - 1)]
 
 
 class DistributedServeSession:
@@ -222,7 +281,6 @@ class DistributedServeSession:
             )
         self.tenant_names = list(tenant_names) if tenant_names is not None else None
         self.tenant_slos: Dict[str, SLOMonitor] = {}
-        self._tenant_tick: Dict[str, List[int]] = {}
         if tenancy is not None:
             base = slo or SLOConfig()
             for spec in tenancy.registry:
@@ -235,6 +293,20 @@ class DistributedServeSession:
                     telemetry,
                     labels={"tenant": spec.name},
                 )
+        #: Tenant name table the per-request tenant codes index: the
+        #: schedule's names, or the registry's default tenant alone.
+        self._names: Optional[List[str]] = self.tenant_names
+        if self._names is None and tenancy is not None:
+            self._names = [tenancy.registry.tenants[0].name]
+        #: Per tenant code: its index and latency objective, for the
+        #: per-tenant SLO monitors.
+        self._tenant_code = {name: i for i, name in enumerate(self._names or ())}
+        self._tenant_thresholds = np.array([
+            self.tenant_slos[name].config.latency_threshold_ms
+            if name in self.tenant_slos else np.nan
+            for name in (self._names or ())
+        ])
+        self._metric_names: Dict[tuple, str] = {}
         self.telemetry = telemetry
         self.trace_requests = trace_requests
         self._next_trace_id = 1
@@ -344,234 +416,81 @@ class DistributedServeSession:
                 float(reply["queue_seconds"]),  # type: ignore[arg-type]
             )
 
-    def _route(self) -> Optional[int]:
-        """Pick a worker, capacity-weighted; one RNG draw either way.
-
-        Open breakers and dead workers get weight zero; if every
-        breaker-approved weight is zero the draw falls back to uniform
-        over the workers still alive, and only a fully-dead fleet
-        returns ``None`` (the request then fails as ``"connection"``).
-        """
-        weights = []
-        for handle in self.workers:
-            wid = handle.spec.worker_id
-            machines, _ = self.advertised[wid]
-            ok = handle.alive and self.breakers[wid].allows_traffic
-            weights.append(machines if ok and machines > 0 else 0.0)
-        total = sum(weights)
-        draw = float(self._rng.random())  # always spent: deterministic resume
-        if total <= 0.0:
-            alive = [
-                handle.spec.worker_id for handle in self.workers if handle.alive
-            ]
-            if not alive:
-                return None
-            return alive[min(int(draw * len(alive)), len(alive) - 1)]
-        acc = 0.0
-        target = draw * total
-        for handle, weight in zip(self.workers, weights):
-            acc += weight
-            if target < acc:
-                return handle.spec.worker_id
-        return self.workers[-1].spec.worker_id  # pragma: no cover - fp edge
-
-    def _edge_shed(
-        self, t: float, worker_id: int, priority: int, tenant: str = ""
-    ) -> Optional[TxnOutcome]:
-        """Edge admission + brownout; the shed outcome, or None to forward.
-
-        Tenant policy runs first: during brownout a low-weight tenant is
-        shed wholesale (before the per-request priority check), and every
-        surviving request is charged against its tenant's token bucket —
-        a quota shed carries the bucket's deterministic Retry-After.
-        """
-        _, queue_s = self.advertised[worker_id]
-        tenancy = self.tenancy
-        if tenancy is not None:
-            if self.brownout_active and tenancy.brownout_sheddable(tenant):
-                tenancy.offered[tenant] += 1
-                tenancy.record_brownout_shed(tenant)
-                decision = self.admission.shed_outright(
-                    worker_id, queue_s, reason="brownout"
-                )
-                return self._shed_outcome(decision, t, worker_id, priority, tenant)
-            quota_wait = tenancy.quota_admit(tenant, t)
-            if quota_wait is not None:
-                decision = self.admission.shed_outright(
-                    worker_id, queue_s, reason="quota", retry_after_s=quota_wait
-                )
-                return self._shed_outcome(decision, t, worker_id, priority, tenant)
-        if (
-            self.brownout_active
-            and self.brownout is not None
-            and self.brownout.shed_low_priority
-            and priority == 1
-        ):
-            decision = self.admission.shed_outright(
-                worker_id, queue_s, reason="brownout"
-            )
-        elif self.edge_queue_limit_s is not None:
-            limit = self.edge_queue_limit_s
-            if self.brownout_active and self.brownout is not None:
-                limit *= self.brownout.queue_factor
-            decision = self.admission.decide(worker_id, queue_s, limit_s=limit)
-            if decision.accepted:
-                return None
-        else:
-            return None
-        return self._shed_outcome(decision, t, worker_id, priority, tenant)
-
-    def _shed_outcome(
-        self, decision, t: float, worker_id: int, priority: int, tenant: str
-    ) -> TxnOutcome:
-        return TxnOutcome(
-            accepted=False,
-            status=503,
-            node_id=worker_id,
-            submitted_at=t,
-            completed_at=t,
-            latency_ms=0.0,
-            retry_after_s=decision.retry_after_s,
-            reason=decision.reason,
-            priority=priority,
-            tenant=tenant,
-        )
-
-    def _mint_trace(self, t: float, worker_id: int) -> Optional[int]:
-        if not self.trace_requests:
-            return None
-        trace_id = self._next_trace_id
-        self._next_trace_id += 1
-        if self.telemetry is not None:
-            self._stitch[trace_id] = self.telemetry.tracer.begin_detached(
-                "edge.request", at=t, trace_id=trace_id, worker=worker_id
-            )
-        return trace_id
-
-    def _finish_trace(self, outcome: TxnOutcome) -> None:
-        if outcome.trace_id is None:
-            return
-        root = self._stitch.get(int(outcome.trace_id))
-        if root is None:
-            return
-        status = "ok" if outcome.accepted else (
-            "error" if outcome.status == 500 else "shed"
-        )
-        root.finish(at=outcome.completed_at, status=status)
-
     def _tick(self) -> None:
         with maybe_span("edge.dispatch", self.perf):
             self._dispatch_tick()
 
     def _dispatch_tick(self) -> None:
+        """One lock-step tick, as arrays: slice the arrivals, route and
+        admit them at the edge, post one ``step`` frame per worker, and
+        fold the replies in worker order."""
         end = self.now + self.dt_s
-        arrivals = self.arrivals
-        batches: Dict[int, List[List[object]]] = {
-            spec.worker_id: [] for spec in self.specs
-        }
-        good = 0
-        bad = 0
-        tenant_tick = self._tenant_tick
-        while self._cursor < len(arrivals) and arrivals[self._cursor] < end - 1e-9:
-            index = self._cursor
-            t = float(arrivals[index])
-            self._cursor += 1
-            tenant = ""
-            if self.tenant_indices is not None and self.tenant_names is not None:
-                tenant = self.tenant_names[int(self.tenant_indices[index])]
-            elif self.tenancy is not None:
-                tenant = self.tenancy.registry.tenants[0].name
-            priority = 0
-            if self.low_priority_fraction > 0.0:
-                if float(self._rng.random()) < self.low_priority_fraction:
-                    priority = 1
-            worker_id = self._route()
-            if worker_id is None:
-                if self.tenancy is not None:
-                    self.tenancy.offered[tenant] += 1
-                self.report.record(
-                    TxnOutcome(
-                        accepted=False,
-                        status=500,
-                        node_id=-1,
-                        submitted_at=t,
-                        completed_at=t,
-                        latency_ms=0.0,
-                        reason="connection",
-                        priority=priority,
-                        tenant=tenant,
-                    )
-                )
-                self._tenant_mark(tenant_tick, tenant, good=False)
-                bad += 1
-                continue
-            shed = self._edge_shed(t, worker_id, priority, tenant)
-            if shed is not None:
-                self.report.record(shed)
-                self._tenant_mark(tenant_tick, tenant, good=False)
-                bad += 1
-                continue
-            trace_id = self._mint_trace(t, worker_id)
-            self.report.offer(tenant)
-            entry: List[object] = [t, trace_id, "edge", priority]
-            if tenant:
-                # The 5th element is only present with tenancy on, so
-                # untenanted runs keep the pre-tenancy wire format.
-                entry.append(tenant)
-            batches[worker_id].append(entry)
+        start = self._cursor
+        stop = max(start, int(np.searchsorted(self.arrivals, end - 1e-9)))
+        self._cursor = stop
+        codes = None
+        if self.tenant_indices is not None:
+            codes = self.tenant_indices[start:stop]
+        elif self._names is not None:
+            codes = np.zeros(stop - start, dtype=np.int64)
+        tick = _Tick(self.arrivals[start:stop], codes, self._names, bool(self.tenant_slos))
+        if codes is not None:
+            self._open_buckets(tick)
+
+        # One liveness and breaker snapshot for the whole tick.
+        alive = np.array([handle.alive for handle in self.workers])
+        routable = alive & np.array(
+            [self.breakers[h.spec.worker_id].allows_traffic for h in self.workers]
+        )
+        machines = np.array([self.advertised[h.spec.worker_id][0] for h in self.workers])
+        priority, worker = route_batch(
+            self._rng, len(tick.times), machines, routable, alive,
+            self.low_priority_fraction,
+        )
+        forward = self._edge_admit(tick, worker, priority)
+        self._mint_traces(tick, worker, forward)
 
         # Fan the tick out, then fold replies in worker order.
-        posted: List[WorkerHandle] = []
+        batches: List[Tuple[WorkerHandle, np.ndarray]] = []
         for handle in self.workers:
             wid = handle.spec.worker_id
-            message = {"cmd": "step", "arrivals": batches[wid]}
+            sel = forward[worker[forward] == wid]
+            message = step_message(
+                tick.times[sel],
+                priority[sel],
+                tick.trace_ids[sel].tolist() if tick.trace_ids is not None else None,
+                tick.tenants(sel),
+                tick.names,
+            )
             try:
                 handle.post(message)
             except TransportError:
-                bad += self._fail_batch(wid, batches[wid], end)
+                self._fail_batch(wid, sel, end, tick)
                 continue
-            posted.append(handle)
-        for handle in posted:
+            batches.append((handle, sel))
+        for handle, sel in batches:
             wid = handle.spec.worker_id
             try:
                 reply = handle.collect()
+                result = parse_step_reply(reply, len(sel), tick.trace_ids is not None)
             except TransportError:
-                bad += self._fail_batch(wid, batches[wid], end)
+                self._fail_batch(wid, sel, end, tick)
                 continue
             self._absorb_ad(reply)
-            for record in reply.get("outcomes", ()):  # type: ignore[union-attr]
-                outcome = TxnOutcome(**record)
-                self.report.finish(outcome)
-                self._finish_trace(outcome)
-                if outcome.accepted and (
-                    self.slo_monitor is None
-                    or self.slo_monitor.classify(outcome.latency_ms)
-                ):
-                    good += 1
-                else:
-                    bad += 1
-                tenant_slo = self.tenant_slos.get(outcome.tenant)
-                if tenant_slo is not None:
-                    self._tenant_mark(
-                        tenant_tick,
-                        outcome.tenant,
-                        good=outcome.accepted
-                        and tenant_slo.classify(outcome.latency_ms),
-                    )
+            self._fold_reply(result, sel, tick)
 
         self.now = end
         self._tick_index += 1
         self._probe(end)
         if self.slo_monitor is not None:
-            self.slo_monitor.observe(end, good, bad)
+            self.slo_monitor.observe(end, tick.good, tick.bad)
         for name, monitor in self.tenant_slos.items():
-            counts = tenant_tick.get(name)
+            code = self._tenant_code.get(name)
             monitor.observe(
                 end,
-                counts[0] if counts else 0,
-                counts[1] if counts else 0,
+                int(tick.tenant_good[code]) if code is not None else 0,
+                int(tick.tenant_bad[code]) if code is not None else 0,
             )
-        tenant_tick.clear()
         if (
             self.telemetry_every_ticks > 0
             and self._tick_index % self.telemetry_every_ticks == 0
@@ -582,46 +501,204 @@ class DistributedServeSession:
             self.timeseries.sample(view.metrics, end)
         self._maybe_checkpoint()
 
-    @staticmethod
-    def _tenant_mark(
-        tick: Dict[str, List[int]], tenant: str, *, good: bool
-    ) -> None:
-        if not tenant:
-            return
-        counts = tick.get(tenant)
-        if counts is None:
-            counts = [0, 0]
-            tick[tenant] = counts
-        counts[0 if good else 1] += 1
+    def _open_buckets(self, tick: "_Tick") -> None:
+        """Create the report's tenant buckets in first-arrival order,
+        the order one-request-at-a-time offering creates them in."""
+        present, first = np.unique(tick.codes, return_index=True)
+        for code in present[np.argsort(first)].tolist():
+            if tick.names[code]:
+                self.report._bucket(tick.names[code])
 
-    def _fail_batch(
-        self, worker_id: int, batch: List[List[object]], at: float
-    ) -> int:
+    def _edge_admit(
+        self, tick: "_Tick", worker: np.ndarray, priority: np.ndarray
+    ) -> np.ndarray:
+        """Edge admission + brownout for one tick; records the requests
+        that fail at the edge and returns the positions to forward.
+
+        Tenant policy runs first, in arrival order: during brownout a
+        low-weight tenant is shed wholesale (before the per-request
+        priority check), and every surviving request is charged against
+        its tenant's token bucket — a quota shed carries the bucket's
+        deterministic Retry-After.  Brownout then sheds low-priority
+        requests, and the optional edge queue limit is checked against
+        each worker's advertised queue, which is fixed for the tick.
+        """
+        times, codes, names = tick.times, tick.codes, tick.names
+        n = len(times)
+        reason = np.full(n, ADMITTED, dtype=np.int8)
+        retry = np.zeros(n)
+        tenancy = self.tenancy
+        if n and worker[0] < 0:  # no live worker: every request fails
+            reason[:] = CONNECTION
+            if tenancy is not None:
+                counts = np.bincount(codes, minlength=len(names))
+                for code in np.flatnonzero(counts).tolist():
+                    tenancy.offered[names[code]] += int(counts[code])
+        elif tenancy is not None:
+            browning = self.brownout_active
+            for i, (code, at) in enumerate(zip(codes.tolist(), times.tolist())):
+                tenant = names[code]
+                if browning and tenancy.brownout_sheddable(tenant):
+                    tenancy.offered[tenant] += 1
+                    tenancy.record_brownout_shed(tenant)
+                    reason[i] = BROWNOUT
+                    continue
+                wait = tenancy.quota_admit(tenant, at)
+                if wait is not None:
+                    reason[i] = QUOTA
+                    retry[i] = wait
+        brownout = self.brownout if self.brownout_active else None
+        if brownout is not None and brownout.shed_low_priority:
+            reason[(reason == ADMITTED) & (priority == 1)] = BROWNOUT
+        decided = np.zeros(n, dtype=bool)
+        if self.edge_queue_limit_s is not None:
+            limit = self.edge_queue_limit_s
+            if brownout is not None:
+                limit *= brownout.queue_factor
+            queue = np.array([self.advertised[h.spec.worker_id][1] for h in self.workers])
+            decided = reason == ADMITTED
+            over = decided & ~(queue[worker] <= limit)
+            reason[over] = QUEUE_LIMIT
+            floor = self.admission.config.retry_after_floor_s
+            retry[over] = np.maximum(floor, queue[worker[over]] - limit)
+            self.admission.accepted += int(np.count_nonzero(decided & ~over))
+            self.admission.rejected += int(np.count_nonzero(over))
+        shed = (reason == QUOTA) | (reason == BROWNOUT)
+        if shed.any():
+            retry[shed] = self.admission.shed_batch(retry[shed])
+        if self.admission.telemetry is not None:
+            self._tally_admission(reason, worker, retry, decided)
+
+        failed = np.flatnonzero(reason != ADMITTED)
+        if len(failed):
+            failed_reason = reason[failed]
+            self._record_failed(
+                tick, failed, np.where(failed_reason == CONNECTION, 500, 503),
+                retry[failed], failed_reason == BROWNOUT,
+            )
+        return np.flatnonzero(reason == ADMITTED)
+
+    def _tally_admission(
+        self,
+        reason: np.ndarray,
+        worker: np.ndarray,
+        retry: np.ndarray,
+        decided: np.ndarray,
+    ) -> None:
+        """The edge admission metrics of one tick, replayed in the order
+        deciding one request at a time touches them."""
+        tally = _MetricTally(self._metric_names)
+        accepted = decided & (reason == ADMITTED)
+        shed = (reason != ADMITTED) & (reason != CONNECTION)
+        tally.by_group(0, "serve.admitted", None, accepted)
+        tally.by_group(1, "serve.admit.accepted", "node", accepted, worker)
+        tally.by_group(0, "serve.rejected", None, shed)
+        tally.by_group(1, "serve.admit.shed", "node", shed, worker)
+        tally.by_group(2, "serve.brownout.shed", None, reason == BROWNOUT)
+        queue_sheds = np.flatnonzero(reason == QUEUE_LIMIT)
+        if len(queue_sheds):
+            tally.gauge(
+                (int(queue_sheds[0]), 2), "serve.admit.retry_after_s",
+                float(retry[queue_sheds[-1]]), len(queue_sheds),
+            )
+        tally.apply(self.admission.telemetry)
+
+    def _mint_traces(self, tick: "_Tick", worker: np.ndarray, forward: np.ndarray) -> None:
+        """Tracing on only: give the forwarded requests consecutive trace
+        ids in arrival order, each with an ``edge.request`` span."""
+        if not self.trace_requests or self.telemetry is None:
+            return
+        tick.trace_ids = np.zeros(len(tick.times), dtype=np.int64)
+        tick.trace_ids[forward] = self._next_trace_id + np.arange(len(forward))
+        self._next_trace_id += len(forward)
+        tracer = self.telemetry.tracer
+        for trace_id, at, worker_id in zip(
+            tick.trace_ids[forward].tolist(),
+            tick.times[forward].tolist(),
+            worker[forward].tolist(),
+        ):
+            self._stitch[trace_id] = tracer.begin_detached(
+                "edge.request", at=at, trace_id=trace_id, worker=worker_id
+            )
+
+    def _finish_traces(
+        self, tick: "_Tick", positions: np.ndarray, at: np.ndarray, status: Sequence[str]
+    ) -> None:
+        if tick.trace_ids is None:
+            return
+        for trace_id, when, state in zip(
+            tick.trace_ids[positions].tolist(), at.tolist(), status
+        ):
+            root = self._stitch.get(trace_id)
+            if root is not None:
+                root.finish(at=when, status=state)
+
+    def _record_failed(
+        self,
+        tick: "_Tick",
+        positions: np.ndarray,
+        status: np.ndarray,
+        retry_after_s: np.ndarray,
+        brownout: np.ndarray,
+    ) -> None:
+        """Sheds and errors at the given tick positions, in order."""
+        codes = tick.tenants(positions)
+        self.report.record_failed(status, retry_after_s, brownout, codes, tick.names)
+        tick.bad += len(positions)
+        if tick.tenant_bad is not None:
+            tick.tenant_bad += np.bincount(codes, minlength=len(tick.names))
+
+    def _fold_reply(self, result: StepReply, sel: np.ndarray, tick: "_Tick") -> None:
+        """One worker's results: failures, then completions in admission
+        order, as folding one request at a time would."""
+        failed = sel[result.failed]
+        served_mask = np.ones(len(sel), dtype=bool)
+        served_mask[result.failed] = False
+        served = sel[served_mask]
+        latency = result.latency_ms
+        if len(failed):
+            self._record_failed(
+                tick, failed, result.status, result.retry_after_s,
+                result.reason == "brownout",
+            )
+        served_codes = tick.tenants(served)
+        self.report.record_served(latency, served_codes, tick.names)
+        n_good = (
+            int(np.count_nonzero(self.slo_monitor.classify_many(latency)))
+            if self.slo_monitor is not None
+            else len(latency)
+        )
+        tick.good += n_good
+        tick.bad += len(latency) - n_good
+        if tick.tenant_good is not None and len(served):
+            on_time = latency <= self._tenant_thresholds[served_codes]
+            total = np.bincount(served_codes, minlength=len(tick.names))
+            on_time_count = np.bincount(
+                served_codes, weights=on_time, minlength=len(tick.names)
+            )
+            tick.tenant_good += on_time_count
+            tick.tenant_bad += total - on_time_count
+        if tick.trace_ids is not None:
+            # A failure completes at its submission time.
+            self._finish_traces(
+                tick, failed, tick.times[failed],
+                ["error" if s == 500 else "shed" for s in result.status.tolist()],
+            )
+            self._finish_traces(tick, served, result.completed_at, ["ok"] * len(served))
+
+    def _fail_batch(self, worker_id: int, sel: np.ndarray, at: float, tick: "_Tick") -> None:
         """A broken worker: its whole tick batch dies as connection 500s."""
         self.breakers[worker_id].record_failure(at)
-        for t, trace_id, _origin, priority, *rest in batch:
-            tenant = str(rest[0]) if rest else ""
-            outcome = TxnOutcome(
-                accepted=False,
-                status=500,
-                node_id=worker_id,
-                submitted_at=float(t),
-                completed_at=at,
-                latency_ms=0.0,
-                trace_id=None if trace_id is None else int(trace_id),
-                reason="connection",
-                priority=int(priority),
-                tenant=tenant,
-            )
-            self.report.finish(outcome)
-            self._finish_trace(outcome)
-            self._tenant_mark(self._tenant_tick, tenant, good=False)
+        k = len(sel)
+        self._record_failed(
+            tick, sel, np.full(k, 500), np.zeros(k), np.zeros(k, dtype=bool)
+        )
+        self._finish_traces(tick, sel, np.full(k, at), ["error"] * k)
         if self.telemetry is not None:
             self.telemetry.counter("edge.worker_batch_failures").inc()
             self.telemetry.event(
-                "worker_down", at, worker=worker_id, lost=len(batch)
+                "worker_down", at, worker=worker_id, lost=k
             )
-        return len(batch)
 
     def _probe(self, now: float) -> None:
         """Per-tick liveness round over the fleet, driving the breakers."""
@@ -971,3 +1048,31 @@ class DistributedServeSession:
         if self.checkpoints_written:
             lines.append(f"checkpoints written: {self.checkpoints_written}")
         return "\n".join(lines)
+
+
+
+class _Tick:
+    """One edge tick: its arrivals as columns (times, tenant codes into
+    ``names``, trace ids when traced) and its good/bad request counts,
+    fleet-wide and per tenant code (those only with tenant SLOs)."""
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        codes: Optional[np.ndarray],
+        names: Optional[List[str]],
+        per_tenant: bool,
+    ) -> None:
+        self.times = times
+        self.codes = codes
+        self.names: Sequence[str] = names or ()
+        self.trace_ids: Optional[np.ndarray] = None
+        self.good = 0
+        self.bad = 0
+        n_tenants = len(self.names) if per_tenant else 0
+        self.tenant_good = np.zeros(n_tenants) if n_tenants else None
+        self.tenant_bad = np.zeros(n_tenants) if n_tenants else None
+
+    def tenants(self, positions: np.ndarray) -> Optional[np.ndarray]:
+        """Tenant codes at ``positions``; ``None`` when untenanted."""
+        return self.codes[positions] if self.codes is not None else None

@@ -25,12 +25,16 @@ listener here and the HTTP tests both bind through it.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import errno
 import json
 import socket
 import struct
 import time
 from typing import Callable, Dict, Optional, TypeVar
+
+import numpy as np
 
 from repro.errors import TransportError
 from repro.telemetry.perf import maybe_span
@@ -172,7 +176,7 @@ def _encode(message: Dict[str, object]) -> bytes:
     # The perf span times serialization only, never the socket wait —
     # idle blocking would drown the signal the span exists to surface.
     with maybe_span("transport.encode"):
-        return json.dumps(message).encode("utf-8")
+        return json.dumps(message, separators=(",", ":")).encode("utf-8")
 
 
 def _decode(payload: bytes) -> Dict[str, object]:
@@ -184,6 +188,30 @@ def _decode(payload: bytes) -> Dict[str, object]:
     if not isinstance(message, dict):
         raise TransportError(f"expected a JSON object frame, got {type(message).__name__}")
     return message
+
+
+def pack_floats(values: np.ndarray) -> str:
+    """A float column as a JSON string: base64 of little-endian float64.
+
+    Exact by construction (no decimal round trip), 10.7 bytes a value
+    instead of the ~18 of JSON float text, and an order of magnitude
+    cheaper to encode and decode than printing and parsing each float.
+    """
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpack_floats(text: object) -> np.ndarray:
+    """Inverse of :func:`pack_floats`; anything else raises
+    :class:`~repro.errors.TransportError`."""
+    if not isinstance(text, str):
+        raise TransportError(f"expected a packed float column, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise TransportError(f"malformed packed float column: {exc}") from exc
+    if len(raw) % 8:
+        raise TransportError("packed float column length is not a multiple of 8 bytes")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 # ----------------------------------------------------------------------

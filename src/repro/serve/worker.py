@@ -3,19 +3,18 @@
 One worker owns one :class:`~repro.serve.engine.ServerEngine` shard —
 its own routing RNG, admission controller, load monitor and (optionally)
 online control loop — and advances it in lock step with the edge: every
-``step`` message carries the arrivals routed to this shard for one tick,
-the worker submits them, ticks the engine once, and replies with the
-terminal :class:`~repro.serve.engine.TxnOutcome` of every request plus a
-small health advertisement (machines, current queue estimate).  Because
-the edge is the only initiator and each request gets exactly one reply,
-the distributed session is deterministic regardless of process
-scheduling — the same property the virtual clock gives the single-
-process session.
+``step`` message carries the arrivals routed to this shard for one tick
+as columns, the worker submits them as one batch, ticks the engine once,
+and replies with the tick's terminal results as columns plus a small
+health advertisement (machines, current queue estimate).  Because the
+edge is the only initiator and each request gets exactly one reply, the
+distributed session is deterministic regardless of process scheduling —
+the same property the virtual clock gives the single-process session.
 
 The command protocol (JSON over :mod:`repro.serve.transport`)::
 
     {"cmd": "hello"}                      -> identity + capacity ad
-    {"cmd": "step", "arrivals": [...]}    -> outcomes + capacity ad
+    {"cmd": "step", "times": [...], ...}  -> tick results + capacity ad
     {"cmd": "healthz"}                    -> full engine healthz
     {"cmd": "capture"}                    -> engine+control snapshot
     {"cmd": "restore", "state": {...}}    -> ok (fresh engines only)
@@ -23,9 +22,38 @@ The command protocol (JSON over :mod:`repro.serve.transport`)::
     {"cmd": "telemetry_delta"}            -> new-or-changed metrics/events
     {"cmd": "shutdown"}                   -> ok; the process exits
 
-Every reply carries ``"ok"``; handler errors come back as
-``{"ok": false, "error": ...}`` so a worker never dies on a bad command
-(it dies on a broken transport, which is the edge going away).
+A ``step`` frame holds one entry per request in each column, in arrival
+order (see :func:`step_message`); float columns travel packed
+(:func:`~repro.serve.transport.pack_floats`), integer columns as JSON
+lists::
+
+    times         packed submission times, finite and sorted  (required)
+    priorities    0 = normal, 1 = sheddable in brownout        (required)
+    trace_ids     edge-minted trace ids, int or null     (only when traced)
+    tenants       index into tenant_names              (only when tenanted)
+    tenant_names  the tenant name table                (only when tenanted)
+
+and its reply carries the tick's results as columns (see
+:func:`parse_step_reply`)::
+
+    failed        positions (in the frame) of the requests that failed,
+                  in arrival order
+    status        503 (shed) or 500 (error), per failure
+    retry_after_s packed Retry-After hints, per failure
+    reason        "queue-limit", "quota", "brownout" or "connection",
+                  per failure
+    latency_ms    packed latencies of the served requests — the positions
+                  not in ``failed`` — in admission (= arrival) order
+    completed_at  packed completion times of the served requests (only
+                  when the frame carried trace ids: the edge closes its
+                  spans with them)
+
+The edge knows each request's time, tenant and trace id from the frame
+it sent, so the reply does not repeat them.
+
+Every reply carries ``"ok"``; a bad command or a malformed frame comes
+back as ``{"ok": false, "error": ...}`` so a worker never dies on bad
+input (it dies on a broken transport, which is the edge going away).
 
 :class:`WorkerHandle` is the edge-side proxy.  Its ``inproc`` mode
 drives a :class:`WorkerServer` directly in-process through the same
@@ -38,19 +66,21 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ReproError, TransportError
+from repro.errors import CheckpointError, ConfigurationError, ReproError, TransportError
 from repro.serve.admission import AdmissionConfig
 from repro.serve.checkpoint import capture_engine, ensure_quiescent, restore_engine
-from repro.serve.engine import ServerEngine, TxnOutcome
+from repro.serve.engine import ADMITTED, CONNECTION, REASONS, ServerEngine, TxnOutcome
 from repro.serve.transport import (
     DEFAULT_TIMEOUT_S,
     PipeTransport,
     TcpTransport,
     connect_transport,
+    pack_floats,
+    unpack_floats,
 )
 from repro.telemetry import Telemetry
 from repro.telemetry.merge import TelemetryDeltaTracker
@@ -162,6 +192,150 @@ def build_worker_engine(
     )
 
 
+# ----------------------------------------------------------------------
+# The step frame and its reply
+# ----------------------------------------------------------------------
+class StepColumns(NamedTuple):
+    """A validated ``step`` frame (see the module docstring)."""
+
+    times: np.ndarray
+    priorities: np.ndarray
+    trace_ids: Optional[List[Optional[int]]]
+    tenants: Optional[np.ndarray]
+    tenant_names: List[str]
+
+
+class StepReply(NamedTuple):
+    """A parsed ``step`` reply: failures by frame position, then the
+    served requests' latencies (and completion times when traced)."""
+
+    failed: np.ndarray
+    status: np.ndarray
+    retry_after_s: np.ndarray
+    reason: np.ndarray
+    latency_ms: np.ndarray
+    completed_at: Optional[np.ndarray]
+
+
+def step_message(
+    times: np.ndarray,
+    priorities: np.ndarray,
+    trace_ids: Optional[Sequence[int]] = None,
+    tenants: Optional[np.ndarray] = None,
+    tenant_names: Sequence[str] = (),
+) -> Dict[str, object]:
+    """The ``step`` frame for one worker's share of a tick."""
+    message: Dict[str, object] = {
+        "cmd": "step",
+        "times": pack_floats(times),
+        "priorities": priorities.tolist(),
+    }
+    if trace_ids is not None:
+        message["trace_ids"] = list(trace_ids)
+    if tenants is not None:
+        message["tenants"] = tenants.tolist()
+        message["tenant_names"] = list(tenant_names)
+    return message
+
+
+def _int_column(message: Dict[str, object], key: str, n: int) -> np.ndarray:
+    """One integer column of a frame, ``n`` entries long."""
+    values = message.get(key)
+    if not isinstance(values, list):
+        raise TransportError(f"step frame: {key!r} must be a list")
+    if len(values) != n:
+        raise TransportError(
+            f"step frame: {key!r} has {len(values)} entries, times has {n}"
+        )
+    if not values:
+        return np.empty(0, dtype=np.int64)
+    try:
+        array = np.array(values)
+    except (TypeError, ValueError) as exc:
+        raise TransportError(f"step frame: {key!r} is not a flat list: {exc}") from exc
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise TransportError(f"step frame: {key!r} holds non-integer or nested entries")
+    return array.astype(np.int64)
+
+
+def parse_step(message: Dict[str, object]) -> StepColumns:
+    """Validate a ``step`` frame; a malformed one raises
+    :class:`~repro.errors.TransportError` (which the worker answers
+    with ``ok: false``)."""
+    times = unpack_floats(message.get("times"))
+    n = len(times)
+    if not np.isfinite(times).all():
+        raise TransportError("step frame: times must be finite")
+    if n > 1 and (np.diff(times) < 0).any():
+        raise TransportError("step frame: times must be sorted")
+    priorities = _int_column(message, "priorities", n)
+    if ((priorities != 0) & (priorities != 1)).any():
+        raise TransportError("step frame: priorities must be 0 or 1")
+    trace_ids = message.get("trace_ids")
+    if trace_ids is not None:
+        if not isinstance(trace_ids, list) or len(trace_ids) != n:
+            raise TransportError("step frame: trace_ids must parallel times")
+        if not all(t is None or type(t) is int for t in trace_ids):
+            raise TransportError("step frame: trace ids must be integers or null")
+    tenants = None
+    names: List[str] = []
+    if "tenants" in message or "tenant_names" in message:
+        names = message.get("tenant_names")  # type: ignore[assignment]
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise TransportError("step frame: tenant_names must be a list of strings")
+        tenants = _int_column(message, "tenants", n)
+        if ((tenants < 0) | (tenants >= len(names))).any():
+            raise TransportError("step frame: tenant codes must index tenant_names")
+    return StepColumns(times, priorities, trace_ids, tenants, names)
+
+
+def parse_step_reply(reply: Dict[str, object], n: int, traced: bool) -> StepReply:
+    """Check a worker's ``step`` reply against the ``n`` requests sent;
+    a refused or inconsistent reply raises
+    :class:`~repro.errors.TransportError`."""
+    if not reply.get("ok"):
+        raise TransportError(f"worker refused the step: {reply.get('error')}")
+    try:
+        failed = np.asarray(reply["failed"], dtype=np.int64)
+        result = StepReply(
+            failed,
+            np.asarray(reply["status"], dtype=np.int64),
+            unpack_floats(reply["retry_after_s"]),
+            np.asarray(reply["reason"], dtype=str),
+            unpack_floats(reply["latency_ms"]),
+            unpack_floats(reply["completed_at"]) if traced else None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TransportError(f"malformed step reply: {exc!r}") from exc
+    k = len(failed)
+    served = len(result.latency_ms)
+    if (
+        k + served != n
+        or not len(result.status) == len(result.retry_after_s) == len(result.reason) == k
+        or (traced and len(result.completed_at) != served)
+        or (k and (failed[0] < 0 or failed[-1] >= n or (np.diff(failed) <= 0).any()))
+    ):
+        raise TransportError(f"step reply does not match the {n} requests sent")
+    return result
+
+
+class _ServedLatencies:
+    """Engine sink keeping one tick's served latencies (the failures are
+    read from the :class:`~repro.serve.engine.AdmissionBatch`)."""
+
+    def __init__(self) -> None:
+        self.chunks: List[np.ndarray] = []
+
+    def record_failed(self, *_: object) -> None:
+        pass
+
+    def record_served(self, latencies_ms: np.ndarray, *_: object) -> None:
+        self.chunks.append(latencies_ms)
+
+    def latencies_ms(self) -> np.ndarray:
+        return np.concatenate(self.chunks) if self.chunks else np.empty(0)
+
+
 class WorkerServer:
     """Executes edge commands against one engine shard."""
 
@@ -215,48 +389,50 @@ class WorkerServer:
 
     def _run_step(self, message: Dict[str, object]) -> Dict[str, object]:
         """Submit the step's arrivals as one batch, then tick once."""
+        step = parse_step(message)
         engine = self.engine
-        outcomes: List[TxnOutcome] = []
-        arrivals = message.get("arrivals") or ()
-        if arrivals:
-            times, trace_ids, origins, priorities = zip(*(a[:4] for a in arrivals))
-            # 4 elements pre-tenancy, 5 with a tenant tag at the edge.
-            tenant_names: Dict[str, int] = {}
-            tenant_codes = None
-            if any(len(a) > 4 for a in arrivals):
-                tenant_codes = np.array(
-                    [
-                        tenant_names.setdefault(
-                            str(a[4]) if len(a) > 4 else "", len(tenant_names)
-                        )
-                        for a in arrivals
-                    ],
-                    dtype=np.int64,
-                )
+        served = _ServedLatencies()
+        completions: List[TxnOutcome] = []
+        failed = np.empty(0, dtype=np.int64)
+        reason = np.empty(0, dtype=np.int8)
+        retry = np.empty(0)
+        if len(step.times):
             traces = None
-            if engine.request_tracer is not None:
+            if engine.request_tracer is not None and step.trace_ids is not None:
                 traces = [
-                    TraceContext(int(trace_id), str(origin))
-                    if trace_id is not None
-                    else None
-                    for trace_id, origin in zip(trace_ids, origins)
+                    TraceContext(trace_id, "edge") if trace_id is not None else None
+                    for trace_id in step.trace_ids
                 ]
-            engine.submit_batch(
-                np.array(times, dtype=np.float64),
-                priorities=np.array(priorities, dtype=np.int64),
-                tenant_codes=tenant_codes,
-                tenant_names=list(tenant_names),
+            batch = engine.submit_batch(
+                step.times,
+                priorities=step.priorities,
+                tenant_codes=step.tenants,
+                tenant_names=step.tenant_names,
                 traces=traces,
-                on_complete=outcomes.append,
+                # Completion times cross the wire only for traced frames.
+                on_complete=completions.append if step.trace_ids is not None else None,
+                sink=served,
             )
+            failed = np.flatnonzero(batch.reason != ADMITTED)
+            reason = batch.reason[failed]
+            retry = batch.retry_after_s[failed]
         record = engine.tick()
-        return {
+        reply: Dict[str, object] = {
             "ok": True,
-            "outcomes": [dict(vars(outcome)) for outcome in outcomes],
+            "failed": failed.tolist(),
+            "status": np.where(reason == CONNECTION, 500, 503).tolist(),
+            "retry_after_s": pack_floats(retry),
+            "reason": [REASONS[code] for code in reason.tolist()],
+            "latency_ms": pack_floats(served.latencies_ms()),
             "now": engine.now,
             "admitted": int(record["admitted"]),
             "rejected": int(record["rejected"]),
         }
+        if step.trace_ids is not None:
+            reply["completed_at"] = pack_floats(
+                np.array([o.completed_at for o in completions if o.accepted])
+            )
+        return reply
 
     def _cmd_capture(self) -> Dict[str, object]:
         ensure_quiescent(self.engine)
@@ -273,18 +449,25 @@ class WorkerServer:
         }
 
     def _cmd_restore(self, message: Dict[str, object]) -> Dict[str, object]:
-        state: Dict[str, object] = message["state"]  # type: ignore[assignment]
-        restore_engine(self.engine, state["engine"])  # type: ignore[arg-type]
+        state = message.get("state")
+        if not isinstance(state, dict) or not isinstance(state.get("engine"), dict):
+            raise CheckpointError("restore needs a state object with an engine snapshot")
         control_state = state.get("control")
-        if control_state is not None:
-            controller = self.engine.controller
-            if controller is None or not hasattr(controller, "load_state_dict"):
-                return {
-                    "ok": False,
-                    "error": "snapshot carries control state but this "
-                    "worker has no restorable controller",
-                }
-            controller.load_state_dict(control_state)
+        controller = self.engine.controller
+        if control_state is not None and (
+            controller is None or not hasattr(controller, "load_state_dict")
+        ):
+            return {
+                "ok": False,
+                "error": "snapshot carries control state but this "
+                "worker has no restorable controller",
+            }
+        try:
+            restore_engine(self.engine, state["engine"])
+            if control_state is not None:
+                controller.load_state_dict(control_state)
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise CheckpointError(f"malformed restore state: {exc!r}") from exc
         return {"ok": True}
 
     def _cmd_telemetry(self) -> Dict[str, object]:

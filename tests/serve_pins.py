@@ -35,6 +35,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro.engine.simulator import EngineConfig
+from repro.errors import TransportError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.serve import (
@@ -288,6 +289,132 @@ def worker_steps() -> Dict[str, object]:
         session.close()
 
 
+def _worker_specs(n: int, **kwargs) -> list:
+    base = dict(initial_nodes=1, max_nodes=4, saturation_rate_per_node=60.0,
+                queue_limit_seconds=1.0)
+    base.update(kwargs)
+    return [WorkerSpec(worker_id=i, seed=i, **base) for i in range(n)]
+
+
+def _edge_result(session: DistributedServeSession) -> Dict[str, object]:
+    out: Dict[str, object] = {
+        "report": asdict(session.report),
+        "edge_rng": _rng_state(session._rng),
+        "breakers": {str(w): b.state_dict() for w, b in session.breakers.items()},
+        "brownout_active": session.brownout_active,
+        "admission": [session.admission.accepted, session.admission.rejected],
+        "advertised": {str(w): list(ad) for w, ad in session.advertised.items()},
+        "slo": session.slo_monitor.state_dict() if session.slo_monitor else None,
+        "tenant_slos": {
+            name: monitor.state_dict() for name, monitor in session.tenant_slos.items()
+        },
+    }
+    if session.tenancy is not None:
+        out["tenancy"] = session.tenancy.state_dict()
+    if session.telemetry is not None:
+        out["telemetry"] = _telemetry_state(session.telemetry)
+    return out
+
+
+class _SeveredTransport:
+    """A worker link that swallows requests and never answers: the
+    worker still looks alive to the router until a reply fails."""
+
+    def send(self, message: Dict[str, object]) -> None:
+        pass
+
+    def recv(self, timeout_s=None) -> Dict[str, object]:
+        raise TransportError("link severed")
+
+    def close(self) -> None:
+        pass
+
+
+def worker_tenants() -> Dict[str, object]:
+    """Edge tenancy: a quota-limited tenant, and a worker death whose
+    brownout sheds the low-weight tenants wholesale."""
+    registry = _tenant_registry()
+    times, indices = composite_arrivals(registry, 40.0, seed=21)
+    session = DistributedServeSession(
+        _worker_specs(3, saturation_rate_per_node=12.0, queue_limit_seconds=2.0),
+        times, mode="inproc", seed=21,
+        breaker=BreakerConfig(miss_threshold=2, open_seconds=30.0),
+        brownout=BrownoutConfig(queue_factor=0.5, shed_low_priority=True),
+        tenancy=TenantAdmission(registry), tenant_indices=indices,
+        tenant_names=registry.names(), telemetry=Telemetry(), slo=SLOConfig(),
+    )
+    try:
+        session.run(15.0)
+        session.workers[2].kill()
+        session.run(30.0)
+        return _edge_result(session)
+    finally:
+        session.close()
+
+
+def worker_lowprio_edge_limit() -> Dict[str, object]:
+    """Low-priority draws interleaved with routing draws, edge queue
+    sheds against the advertised queue, and brownout low-priority sheds
+    after a worker dies."""
+    session = DistributedServeSession(
+        _worker_specs(3), poisson_arrivals(150.0, 30.0, seed=6), mode="inproc",
+        seed=6, low_priority_fraction=0.35, edge_queue_limit_s=0.3,
+        breaker=BreakerConfig(miss_threshold=2, open_seconds=40.0),
+        brownout=BrownoutConfig(queue_factor=0.5, shed_low_priority=True),
+        telemetry=Telemetry(),
+    )
+    try:
+        session.run(12.0)
+        session.workers[0].kill()
+        session.run(20.0)
+        return _edge_result(session)
+    finally:
+        session.close()
+
+
+def worker_crash_midtick() -> Dict[str, object]:
+    """A worker whose link breaks while it still looks alive: its tick
+    batches fail as connection 500s until its breaker opens, and the
+    breaker drives brownout."""
+    session = DistributedServeSession(
+        _worker_specs(2), poisson_arrivals(100.0, 30.0, seed=9), mode="inproc",
+        seed=9, low_priority_fraction=0.25,
+        breaker=BreakerConfig(miss_threshold=3, open_seconds=10.0),
+        brownout=BrownoutConfig(queue_factor=0.5, shed_low_priority=True),
+        telemetry=Telemetry(), slo=SLOConfig(),
+    )
+    try:
+        session.run(8.0)
+        victim = session.workers[1]
+        victim.server = None
+        victim.transport = _SeveredTransport()
+        session.run(24.0)
+        return _edge_result(session)
+    finally:
+        session.close()
+
+
+def worker_traced() -> Dict[str, object]:
+    """Request tracing across the edge/worker split with tenancy, edge
+    and tenant SLO monitors: stitched spans and merged metrics."""
+    registry = _tenant_registry()
+    times, indices = composite_arrivals(registry, 20.0, seed=23)
+    session = DistributedServeSession(
+        _worker_specs(2, saturation_rate_per_node=12.0, trace_requests=True,
+                      collect_telemetry=True),
+        times, mode="inproc", seed=23, low_priority_fraction=0.2,
+        edge_queue_limit_s=1.5, trace_requests=True, telemetry=Telemetry(),
+        slo=SLOConfig(), tenancy=TenantAdmission(registry), tenant_indices=indices,
+        tenant_names=registry.names(),
+    )
+    try:
+        session.run(22.0)
+        session.collect_telemetry()
+        return _edge_result(session)
+    finally:
+        session.close()
+
+
 SCENARIOS: Dict[str, Callable[[], Dict[str, object]]] = {
     "tick_boundary_run": tick_boundary_run,
     "tick_boundary_stepped": tick_boundary_stepped,
@@ -299,6 +426,10 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, object]]] = {
     "traced_run": traced_run,
     "steady_run": steady_run,
     "worker_steps": worker_steps,
+    "worker_tenants": worker_tenants,
+    "worker_lowprio_edge_limit": worker_lowprio_edge_limit,
+    "worker_crash_midtick": worker_crash_midtick,
+    "worker_traced": worker_traced,
 }
 
 

@@ -11,8 +11,12 @@ import errno
 import json
 import os
 import socket
+from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.serve import (
@@ -30,13 +34,18 @@ from repro.serve import (
     run_soak,
 )
 from repro.serve.checkpoint import CheckpointConfig
+from repro.serve.edge import route_batch
+from repro.serve.resilience import _rng_state
 from repro.serve.transport import (
     accept_transport,
     bind_listener,
     connect_transport,
+    pack_floats,
 )
+from repro.serve.worker import parse_step_reply, step_message
 from repro.telemetry import Telemetry
 from repro.telemetry.slo import SLOConfig
+from repro.tenancy import TenantAdmission, TenantSpec, build_registry, composite_arrivals
 
 
 def specs(n=2, **kwargs):
@@ -48,6 +57,10 @@ def specs(n=2, **kwargs):
     )
     defaults.update(kwargs)
     return [WorkerSpec(worker_id=i, seed=i, **defaults) for i in range(n)]
+
+
+def _packed(*times):
+    return pack_floats(np.array(times))
 
 
 def make_session(n=2, *, rate=150.0, duration=40.0, seed=3, **kwargs):
@@ -66,7 +79,7 @@ class TestTransports:
             host, port = listener.getsockname()
             client = connect_transport(host, port, timeout_s=5.0)
             server = accept_transport(listener, timeout_s=5.0)
-            message = {"cmd": "step", "arrivals": [[0.5, 1, "edge", 0]] * 100}
+            message = step_message(np.full(100, 0.5), np.zeros(100, dtype=np.int64))
             client.send(message)
             assert server.recv(timeout_s=5.0) == message
             server.send({"ok": True})
@@ -149,16 +162,126 @@ class TestWorkerProtocol:
             specs(1, trace_requests=True, collect_telemetry=True)[0]
         )
         reply = server.handle(
-            {
-                "cmd": "step",
-                "now": 1.0,
-                "arrivals": [[0.2, 7, "edge", 0], [0.4, 8, "edge", 1]],
-            }
+            step_message(np.array([0.2, 0.4]), np.array([0, 1]), trace_ids=[7, 8])
         )
         assert reply["ok"] is True
-        outcomes = reply["outcomes"]
-        assert {o["trace_id"] for o in outcomes} == {7, 8}
-        assert all(o["status"] in (200, 503) for o in outcomes)
+        # Every request is terminal: a failure by frame position, or a
+        # served latency (with its completion time, as the frame was traced).
+        result = parse_step_reply(reply, 2, traced=True)
+        served = len(result.latency_ms)
+        assert len(result.completed_at) == served
+        statuses = result.status.tolist() + [200] * served
+        assert len(statuses) == 2
+        assert all(status in (200, 503) for status in statuses)
+        # The worker's span trees carry the edge-minted trace ids.
+        roots = [
+            s for s in server.telemetry.tracer.records() if s["name"] == "request"
+        ]
+        assert {s["attrs"]["trace_id"] for s in roots} == {7, 8}
+
+    def test_step_reply_is_columnar_and_untraced_frames_skip_completions(self):
+        server = WorkerServer(specs(1, queue_limit_seconds=0.01)[0])
+        reply = server.handle(
+            step_message(
+                np.arange(40) * 0.1, np.zeros(40, dtype=np.int64),
+                tenants=np.array([0, 1] * 20), tenant_names=["a", "b"],
+            )
+        )
+        assert reply["ok"] is True
+        assert "completed_at" not in reply
+        result = parse_step_reply(reply, 40, traced=False)
+        failed = result.failed.tolist()
+        assert failed and failed == sorted(failed)
+        assert len(failed) + len(result.latency_ms) == 40
+        assert result.status.tolist() == [503] * len(failed)
+        assert result.reason.tolist() == ["queue-limit"] * len(failed)
+        assert (result.retry_after_s >= 1.0).all()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"ok": False, "error": "nope"},
+            {"ok": True},
+            {"ok": True, "failed": [], "status": [], "retry_after_s": "",
+             "reason": [], "latency_ms": pack_floats(np.zeros(1))},
+            {"ok": True, "failed": [3], "status": [503],
+             "retry_after_s": pack_floats(np.ones(1)), "reason": ["queue-limit"],
+             "latency_ms": pack_floats(np.zeros(1))},
+            {"ok": True, "failed": [], "status": [], "retry_after_s": "",
+             "reason": [], "latency_ms": "not base64!"},
+            {"ok": True, "failed": [1, 1], "status": [503, 503],
+             "retry_after_s": pack_floats(np.ones(2)), "reason": ["quota"] * 2,
+             "latency_ms": ""},
+        ],
+    )
+    def test_bad_step_reply_is_a_transport_error(self, reply):
+        with pytest.raises(TransportError):
+            parse_step_reply(reply, 2, traced=False)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"cmd": "step", "arrivals": [[0.5]]},
+            {"cmd": "step", "arrivals": 5},
+            {"cmd": "step", "times": [0.5], "priorities": [0]},
+            {"cmd": "step", "times": 5, "priorities": []},
+            {"cmd": "step", "times": "not base64!", "priorities": []},
+            {"cmd": "step", "times": "AAAA", "priorities": [0]},
+            {"cmd": "step", "times": _packed(float("nan")), "priorities": [0]},
+            {"cmd": "step", "times": _packed(float("inf")), "priorities": [0]},
+            {"cmd": "step", "times": _packed(0.9, 0.5), "priorities": [0, 0]},
+            {"cmd": "step", "times": _packed(0.5)},
+            {"cmd": "step", "times": _packed(0.5), "priorities": 0},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [[0]]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0, 1]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [2]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0.5]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [True]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": ["0"]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0], "trace_ids": ["x"]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0], "trace_ids": [1.5]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0], "trace_ids": [1, 2]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0], "tenants": [1],
+             "tenant_names": ["a"]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0], "tenants": [-1],
+             "tenant_names": ["a"]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0], "tenants": [0]},
+            {"cmd": "step", "times": _packed(0.5), "priorities": [0], "tenants": [0],
+             "tenant_names": [3]},
+            {"cmd": "restore", "state": {}},
+            {"cmd": "restore", "state": 5},
+            {"cmd": "restore"},
+            {"cmd": "restore", "state": {"engine": {}}},
+            {"cmd": "restore", "state": {"engine": {"config": None}}},
+        ],
+    )
+    def test_malformed_frame_is_an_error_reply(self, frame):
+        server = WorkerServer(specs(1)[0])
+        reply = server.handle(frame)
+        assert reply["ok"] is False
+        assert reply["error"]
+        assert server.handle({"cmd": "hello"})["ok"] is True
+
+    @pytest.mark.timeout(120)
+    def test_malformed_frames_do_not_kill_a_worker_process(self):
+        handle = WorkerHandle(specs(1)[0], "pipe")
+        handle.start()
+        try:
+            for frame in (
+                {"cmd": "step", "arrivals": [[0.5]]},
+                {"cmd": "step", "arrivals": 5},
+                {"cmd": "step", "times": _packed(0.5), "priorities": [7]},
+                {"cmd": "step", "times": _packed(0.5, 0.2), "priorities": [0, 0]},
+                {"cmd": "step", "times": _packed(0.5), "priorities": [0], "tenants": [4],
+                 "tenant_names": ["a"]},
+                {"cmd": "restore", "state": {}},
+            ):
+                reply = handle.request(frame)
+                assert reply["ok"] is False
+                assert handle.request({"cmd": "hello"})["ok"] is True
+            assert handle.alive
+        finally:
+            handle.shutdown()
 
     def test_unknown_command_is_an_error_reply(self):
         server = WorkerServer(specs(1)[0])
@@ -191,6 +314,120 @@ class TestWorkerProtocol:
 # ----------------------------------------------------------------------
 # Edge session: validation, conservation, determinism
 # ----------------------------------------------------------------------
+def scalar_route(rng, machines, routable, alive, low_priority_fraction):
+    """Reference: the one-request-at-a-time edge routing the vectorised
+    :func:`route_batch` replaces (a priority draw when the fraction is
+    positive, then one routing draw, always spent)."""
+    priority = 0
+    if low_priority_fraction > 0.0:
+        if float(rng.random()) < low_priority_fraction:
+            priority = 1
+    weights = [m if ok and m > 0 else 0.0 for m, ok in zip(machines, routable)]
+    total = sum(weights)
+    draw = float(rng.random())
+    if total <= 0.0:
+        live = [i for i, up in enumerate(alive) if up]
+        if not live:
+            return priority, -1
+        return priority, live[min(int(draw * len(live)), len(live) - 1)]
+    acc = 0.0
+    target = draw * total
+    for i, weight in enumerate(weights):
+        acc += weight
+        if target < acc:
+            return priority, i
+    return priority, len(weights) - 1
+
+
+class TestEdgeRouting:
+    @given(
+        fleet=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(min_value=0, max_value=6).map(float),
+                    st.floats(min_value=0.0, max_value=5.0),
+                ),
+                st.booleans(),  # alive
+                st.booleans(),  # breaker open
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        all_dead=st.booleans(),
+        n=st.integers(min_value=0, max_value=60),
+        low_priority_fraction=st.one_of(
+            st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_route_batch_equals_scalar_route(
+        self, fleet, all_dead, n, low_priority_fraction, seed
+    ):
+        machines = np.array([m for m, _, _ in fleet])
+        alive = np.array([up and not all_dead for _, up, _ in fleet])
+        routable = alive & ~np.array([open_ for _, _, open_ in fleet])
+        batch_rng = np.random.default_rng(seed)
+        priority, worker = route_batch(
+            batch_rng, n, machines, routable, alive, low_priority_fraction
+        )
+        scalar_rng = np.random.default_rng(seed)
+        expected = [
+            scalar_route(scalar_rng, machines.tolist(), routable.tolist(),
+                         alive.tolist(), low_priority_fraction)
+            for _ in range(n)
+        ]
+        assert list(zip(priority.tolist(), worker.tolist())) == expected
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @given(
+        machines=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
+        open_breakers=st.lists(st.booleans(), min_size=5, max_size=5),
+        draws=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.125, 0.25, 1 / 3, 0.5, 0.75, 1.0 - 2**-53]),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            max_size=40,
+        ),
+        low_priority_fraction=st.sampled_from([0.0, 0.25, 0.5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_route_batch_equals_scalar_route_on_boundaries(
+        self, machines, open_breakers, draws, low_priority_fraction
+    ):
+        """Uniforms that land exactly on a cumulative weight, or on a
+        zero-weight worker's empty share, route like the scalar loop."""
+        n = len(draws) // 2 if low_priority_fraction > 0.0 else len(draws)
+        machines = np.array(machines, dtype=float)
+        alive = np.ones(len(machines), dtype=bool)
+        routable = ~np.array(open_breakers[: len(machines)])
+        priority, worker = route_batch(
+            _Draws(draws), n, machines, routable, alive, low_priority_fraction
+        )
+        scalar = _Draws(draws)
+        expected = [
+            scalar_route(scalar, machines.tolist(), routable.tolist(), alive.tolist(),
+                         low_priority_fraction)
+            for _ in range(n)
+        ]
+        assert list(zip(priority.tolist(), worker.tolist())) == expected
+
+
+class _Draws:
+    """A stand-in generator replaying chosen uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out = np.array(self.values[:size], dtype=float)
+        del self.values[:size]
+        return out
+
+
 class TestDistributedSession:
     def test_rejects_bad_worker_ids(self):
         arrivals = poisson_arrivals(10.0, 5.0, seed=0)
@@ -248,16 +485,38 @@ class TestDistributedSession:
 @pytest.mark.timeout(300)
 class TestProcessBoundary:
     def test_pipe_matches_inproc_bit_for_bit(self):
-        def run(mode):
-            arrivals = poisson_arrivals(150.0, 20.0, seed=5)
-            with DistributedServeSession(
-                specs(2), arrivals, mode=mode, seed=5
-            ) as session:
-                return session.run(20.0)
+        """Pipe and TCP runs equal the inproc run: the full report, the
+        edge RNG and the stitched trace, with tenancy (a quota-limited
+        tenant), low-priority draws, edge sheds and tracing all on."""
 
-        inproc, pipe = run("inproc"), run("pipe")
-        assert inproc.summary() == pipe.summary()
-        assert inproc.latencies_ms == pipe.latencies_ms
+        def run(mode):
+            registry = build_registry([
+                TenantSpec(name="gold", profile="poisson:rate=80", weight=3),
+                TenantSpec(name="bronze", profile="poisson:rate=70", weight=1,
+                           quota_rps=20.0, quota_burst=5.0),
+            ])
+            times, indices = composite_arrivals(registry, 15.0, seed=5)
+            telemetry = Telemetry()
+            with DistributedServeSession(
+                specs(2, trace_requests=True, collect_telemetry=True),
+                times, mode=mode, seed=5, low_priority_fraction=0.3,
+                edge_queue_limit_s=0.05, trace_requests=True, telemetry=telemetry,
+                slo=SLOConfig(), tenancy=TenantAdmission(registry),
+                tenant_indices=indices, tenant_names=registry.names(),
+            ) as session:
+                report = session.run(15.0)
+                session.collect_telemetry()
+                return (
+                    asdict(report), _rng_state(session._rng),
+                    telemetry.tracer.records(), telemetry.metrics.records(),
+                )
+
+        inproc = run("inproc")
+        report = inproc[0]
+        assert report["rejected"] and report["tenants"]["bronze"]["rejected"]
+        assert report["accepted"] + report["rejected"] == report["offered"]
+        for mode in ("pipe", "tcp"):
+            assert run(mode) == inproc, mode
 
     @pytest.mark.parametrize("mode", ["pipe", "tcp"])
     def test_streaming_fleet_view_matches_capture_across_processes(self, mode):
